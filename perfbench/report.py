@@ -12,12 +12,12 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List
 
-from tracing import ROOT
+from tracing import ROOT, SERVICE_ROOT
 
 #: (metric, aggregate, span or counter).  ``incl``/``self`` are span times,
 #: ``calls`` counts span entries, ``counts`` reads a work counter.
 SPANS = [
-    ("service.dispatch_self_ms", "self", "service.dispatch"),
+    ("service.dispatch_self_ms", "self", SERVICE_ROOT),
     ("service.lock_wait_ms", "incl", "service.lock_wait"),
     ("service.parse_ms", "incl", "service.parse"),
     ("service.answers_ms", "self", "service.answers"),
@@ -59,16 +59,6 @@ PER_LAYER = [name for name, _, _ in SPANS] + RATIOS
 #: Reconciliation tolerances.
 COVERAGE_RANGE = (0.9, 1.1)
 FIRE_SHARE_RANGE = (0.8, 1.0)
-
-
-def unit_of(name: str) -> str:
-    if name.endswith("_ms"):
-        return "ms"
-    if name.endswith("_ratio") or name.startswith("trace.") or name.endswith(
-        "_per_answer"
-    ):
-        return "ratio"
-    return "count"
 
 
 def end_to_end(result: dict, setup_samples: List[float]) -> Dict[str, float]:
@@ -118,11 +108,16 @@ def per_layer(traced: dict, untraced: dict) -> Dict[str, float]:
         _total(ops, "counts", "engine.fired"), _total(ops, "calls", "engine.head_check")
     )
 
+    # The root's self time is what no layer span accounts for, so it is left
+    # out of trace.coverage.
     attributed = sum(
-        value for op in ops for name, value in op["self"].items() if name != ROOT
+        value
+        for op in ops
+        for name, value in op["self"].items()
+        if name not in (ROOT, SERVICE_ROOT)
     )
     if "client_seconds" in trace:  # serve-query: the op is the client round trip
-        http = trace["client_seconds"] - _total(ops, "incl", "service.dispatch")
+        http = trace["client_seconds"] - _total(ops, "incl", SERVICE_ROOT)
         metrics["service.http_ms"] = _ratio(http * 1000, n)
         shape_lookups = trace["shape_hits"] + trace["shape_misses"]
         metrics["service.shape_cache_hit_ratio"] = _ratio(

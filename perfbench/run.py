@@ -32,14 +32,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("serve-query", "chase-tc", "paper-thm14", "paper-thm1")
 #: Set-ups per ``--trace 0`` invocation; ``setup_s`` is their median.
-SETUP_RUNS = 3
-END_TO_END_UNITS = {
-    "ops_per_s": "1/s",
-    "latency_p50_ms": "ms",
-    "cpu_ms_per_op": "ms",
-    "peak_rss_mb": "MB",
-    "setup_s": "s",
-}
+SETUP_RUNS = 5
+
+
+def declared_units(trace: int) -> dict:
+    """Metric name -> unit, as ``BENCHMARK.json`` declares them for *trace*."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {
+        metric["name"]: metric["unit"]
+        for metric in spec["per_layer" if trace else "end_to_end"]
+    }
 
 
 def source_commit() -> dict:
@@ -123,7 +125,6 @@ def main() -> int:
         result = measure(args.workload, args.seed, args.seconds / 2)
         traced = measure(args.workload, args.seed, args.seconds / 2, traced=True)
         metrics = report.per_layer(traced, result)
-        units = {name: report.unit_of(name) for name in metrics}
         for line in report.layer_table(traced["trace"]["ops"]):
             print(line)
         checks = report.reconcile(args.workload, traced, metrics)
@@ -137,7 +138,6 @@ def main() -> int:
             for _ in range(SETUP_RUNS - 1)
         ]
         metrics = report.end_to_end(result, setups)
-        units = END_TO_END_UNITS
         attempted, failed = result["attempted"], result["failed"]
         info = {
             "error_rate": failed / attempted,
@@ -146,6 +146,11 @@ def main() -> int:
         if attempted >= 200:
             info["latency_p95_ms"] = report.latency_p95_ms(result)
         print("info " + json.dumps(info))
+    units = declared_units(args.trace)
+    if set(metrics) != set(units):
+        raise RuntimeError(
+            f"metrics {sorted(metrics)} differ from BENCHMARK.json {sorted(units)}"
+        )
     print("stamp " + json.dumps(stamp(args, attempted)))
     print(json.dumps({
         "correct": failed == 0,

@@ -6,6 +6,14 @@ threads, each with its own keep-alive :class:`ServiceClient`, share one
 session and send their next request only after the previous reply.  Set-up
 loads the seeded chain, chases it once, and sends :data:`WARMUP_OPS`
 requests per connection; the window then runs for the given seconds.
+
+The server's peak RSS is read when the window has completed
+:data:`RSS_AT_REQUESTS` requests, not at its end.  The server keeps bounded
+rings of recent requests (the access log and the trace ring), and every
+write adds a fact, so its RSS grows with the request count until the rings
+are full.  Read at the end of the window, a faster host or faster code
+would read as more memory.  A window with fewer requests reads it at its
+end.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from tracing import CLOCK
 HERE = Path(__file__).resolve().parent
 CONNECTIONS = 2
 WARMUP_OPS = 25
+RSS_AT_REQUESTS = 1000
 _LISTENING = re.compile(r"listening on http://([\d.]+):(\d+)")
 
 
@@ -112,6 +121,7 @@ class Loop:
         self.expected = expected
         self._lock = threading.Lock()
         self.results: List[tuple] = []  # (latency_s, kind, ok)
+        self.sampled = None
 
     def next_op(self):
         with self._lock:
@@ -153,13 +163,22 @@ class Loop:
             clients, lambda client: [self.one(client, session) for _ in range(ops)]
         )
 
-    def run(self, clients, session: str, seconds: float) -> None:
-        """The closed loop: every connection sends until *seconds* have passed."""
+    def run(self, clients, session: str, seconds: float, sample_at: int,
+            sample) -> None:
+        """The closed loop: every connection sends until *seconds* have passed.
+
+        ``sample()`` is called once, when *sample_at* requests have completed,
+        and its value kept in :attr:`sampled`.
+        """
         deadline = time.perf_counter() + seconds
 
         def drive(client) -> None:
             while time.perf_counter() < deadline:
-                self.results.append(self.one(client, session))
+                result = self.one(client, session)
+                with self._lock:
+                    self.results.append(result)
+                    if len(self.results) == sample_at:
+                        self.sampled = sample()
 
         self._on_each(clients, drive)
 
@@ -186,10 +205,13 @@ def run_serve(seed: int, seconds: float, traced: bool = False,
         before = _server_counters(admin, session)
         cpu_start = _proc_cpu_seconds(server.pid)
         window_start = CLOCK()
-        loop.run(clients, session, seconds)
+        loop.run(
+            clients, session, seconds, RSS_AT_REQUESTS,
+            lambda: _proc_peak_rss_mb(server.pid),
+        )
         window_end = CLOCK()
         cpu = _proc_cpu_seconds(server.pid) - cpu_start
-        peak_rss_mb = _proc_peak_rss_mb(server.pid)
+        peak_rss_mb = loop.sampled or _proc_peak_rss_mb(server.pid)
         after = _server_counters(admin, session)
     finally:
         for client in clients:

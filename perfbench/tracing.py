@@ -26,7 +26,9 @@ from collections import defaultdict
 from typing import Callable, Dict, List, Optional
 
 CLOCK = time.monotonic
+#: Root span of an in-process op, and of one request in the server.
 ROOT = "op"
+SERVICE_ROOT = "service.dispatch"
 
 
 class OpRecord:
@@ -348,11 +350,12 @@ def install_service(recorder: Recorder) -> None:
     """Wrap the session server's entry points; ``_dispatch`` is the op root."""
     from repro.service.server import _Handler
     from repro.service.sessions import Session, ShapeCache
+    from repro.service.telemetry import ServiceTelemetry
 
     original_dispatch = _Handler._dispatch
 
     def dispatch(handler, method):
-        frame = recorder.begin_op("service.dispatch")
+        frame = recorder.begin_op(SERVICE_ROOT)
         try:
             return original_dispatch(handler, method)
         finally:
@@ -360,6 +363,13 @@ def install_service(recorder: Recorder) -> None:
 
     _Handler._dispatch = dispatch
     _Handler._reply = recorder.timed("service.serialize", _Handler._reply)
+    # Request body read and JSON decode, and the access-log/histogram
+    # bookkeeping after the reply: no metric of their own, but their time
+    # counts towards trace.coverage instead of the dispatch root's self time.
+    _Handler._payload = recorder.timed("service.read_body", _Handler._payload)
+    ServiceTelemetry.observe_request = recorder.timed(
+        "service.telemetry", ServiceTelemetry.observe_request
+    )
     ShapeCache.query = recorder.timed("service.parse", ShapeCache.query)
     Session.query = recorder.timed("service.answers", Session.query)
     Session.load_structure = recorder.timed("service.write", Session.load_structure)
