@@ -1,4 +1,4 @@
-"""Seeded inputs of the four workloads, and the values their outputs must match.
+"""Seeded inputs of the three workloads, and the values their outputs must match.
 
 Only this module looks at the workload name.  The program under test
 receives the generated inputs and nothing else: fact text over HTTP for
@@ -7,8 +7,8 @@ receives the generated inputs and nothing else: fact text over HTTP for
 * ``serve-query`` and ``chase-tc`` relabel their chain nodes with a
   permutation drawn from the seed, and ``serve-query`` also draws the
   position and the node names of each write from it.
-* ``paper-thm14`` and ``paper-thm1`` run the paper's own constructions.
-  Their inputs are fixed by the paper (the separating example of Theorem 14,
+* ``paper`` runs the paper's own constructions.
+  Its inputs are fixed by the paper (the separating example of Theorem 14,
   the machines of the Theorem 1 reduction); the seed is recorded with the
   result but changes nothing.
 """

@@ -30,7 +30,7 @@ from tracing import CLOCK
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-WORKLOADS = ("serve-query", "chase-tc", "paper-thm14", "paper-thm1")
+WORKLOADS = ("serve-query", "chase-tc", "paper")
 #: Set-ups per ``--trace 0`` invocation; ``setup_s`` is their median.
 SETUP_RUNS = 5
 

@@ -35,12 +35,10 @@ CORRUPTIONS = {
     "chase-tc": {
         "S": lambda expected: expected["S"].pop(),
     },
-    "paper-thm14": {
+    "paper": {
         "consistent_with_theorem": lambda expected: expected.update(
             consistent_with_theorem=False
         ),
-    },
-    "paper-thm1": {
         "sizes": lambda expected: expected["sizes"].update(views=108),
         "supports_lemma24": lambda expected: expected.update(supports_lemma24=False),
     },

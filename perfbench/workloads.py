@@ -1,4 +1,4 @@
-"""The three in-process workloads: one op, and the check of its output.
+"""The two in-process workloads: one op, and the check of its output.
 
 Each class is built once per process (its set-up), then :meth:`op` runs one
 timed operation and :meth:`check` decides whether that op's output is
@@ -47,51 +47,47 @@ class ChaseTC:
         return result.reached_fixpoint and produced == self.expected["S"]
 
 
-class PaperTheorem14:
-    """The separating example of Theorem 14, bounded as in experiment E5."""
+class Paper:
+    """The paper's two constructions, one after the other, as one op.
 
-    name = "paper-thm14"
+    The separating example of Theorem 14, bounded as in experiment E5, then
+    the Theorem 1 reduction: its sizes, then both directions of Lemma 24.
+    """
 
-    def __init__(self, seed: int) -> None:
-        self.seed = seed  # recorded only: the inputs are fixed by the paper
-        self.expected = {"consistent_with_theorem": True}
-
-    def op(self):
-        return gather_theorem14_evidence(prefix_stages=7, merged_lengths=((3, 2), (4, 3)))
-
-    def check(self, evidence) -> bool:
-        return (
-            evidence.consistent_with_theorem
-            == self.expected["consistent_with_theorem"]
-        )
-
-
-class PaperTheorem1:
-    """The Theorem 1 reduction: sizes, then both directions of Lemma 24."""
-
-    name = "paper-thm1"
+    name = "paper"
 
     def __init__(self, seed: int) -> None:
         self.seed = seed  # recorded only: the inputs are fixed by the paper
-        self.expected = {"sizes": dict(THM1_SIZES), "supports_lemma24": True}
+        self.expected = {
+            "consistent_with_theorem": True,
+            "sizes": dict(THM1_SIZES),
+            "supports_lemma24": True,
+        }
 
     def op(self):
+        # Only the verdict is kept, so that the Theorem 14 structures are
+        # freed before the Theorem 1 half runs, as they would be in separate
+        # calls.
+        consistent = gather_theorem14_evidence(
+            prefix_stages=7, merged_lengths=((3, 2), (4, 3))
+        ).consistent_with_theorem
         sizes = reduce_machine(halting_after_two_cycles_machine()).sizes()
         halting = halting_direction_evidence(halting_after_two_cycles_machine())
         creeping = creeping_direction_evidence(
             forever_creeping_machine(), simulate_steps=7, chase_stages=9
         )
-        return sizes, halting, creeping
+        return consistent, sizes, halting, creeping
 
     def check(self, output) -> bool:
-        sizes, halting, creeping = output
+        consistent, sizes, halting, creeping = output
         wanted = self.expected["supports_lemma24"]
         return (
-            sizes == self.expected["sizes"]
+            consistent == self.expected["consistent_with_theorem"]
+            and sizes == self.expected["sizes"]
             and sizes["views"] == sizes["level1_rules"]
             and halting.supports_lemma24 == wanted
             and creeping.supports_lemma24 == wanted
         )
 
 
-IN_PROCESS = {cls.name: cls for cls in (ChaseTC, PaperTheorem14, PaperTheorem1)}
+IN_PROCESS = {cls.name: cls for cls in (ChaseTC, Paper)}
