@@ -26,7 +26,7 @@ ENGINES = ("reference", "seminaive")
 def test_chase_scaling_on_chains(benchmark, length, engine, report_lines):
     tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
     result = benchmark(
-        run_chase, tgds, _chain_instance(length), 50, 50_000, True, engine
+        run_chase, tgds, _chain_instance(length), 50, 50_000, engine=engine
     )
     report_lines(
         f"[E15/chase] engine={engine:9s} chain length={length:3d}  "

@@ -21,9 +21,11 @@ merge/decode tail stays small.  Three things are asserted:
   measuring pure pool overhead) but the bar is not enforced;
 * **the shipped-bytes bar** — machine-independent: for one simulated stage
   of derived heads, the pickled shared-memory control message must be
-  ≥ 10× smaller than the pickled fact slice the wire fallback would ship.
-  This is the zero-copy claim in byte form — facts travel through shared
-  segments, only watermarks/directories/symbol suffixes cross the pipe.
+  ≥ 10× smaller than a pickled per-fact sync of the same stage — the
+  ``(stamp, predicate ID, row)`` triples it appended plus the symbol-table
+  suffix.  This is the zero-copy claim in byte form — facts travel through
+  shared segments, only watermarks/directories/symbol suffixes cross the
+  pipe.
 
 The last config (~200k atoms) sizes the columnar store: its row records
 ``peak_rss_kb`` so the trajectory catches memory regressions, not just
@@ -39,7 +41,7 @@ import pytest
 from repro.core.atoms import Atom
 from repro.engine import AtomIndex, ParallelDiscovery
 from repro.engine.delta import compiled_delta_matches
-from repro.engine.shm import SHM_AVAILABLE, SharedColumnStore
+from repro.engine.shm import SharedColumnStore
 from repro.obs import CLOCK, peak_rss_kb
 
 from workloads import build
@@ -61,7 +63,7 @@ ASSERTED = ("clique", dict(rules=16, nodes=300, edges=3000))
 #: ≥ 2-core machines must reach this at workers=2 on the asserted config.
 MIN_SPEEDUP = 1.5
 
-#: Per-stage pickled-bytes ratio (wire fact slice / shm control message).
+#: Per-stage pickled-bytes ratio (per-fact rows / shm control message).
 MIN_SHIPPED_REDUCTION = 10.0
 
 
@@ -105,23 +107,36 @@ def _fire_heads(structure, tgds, serial):
 
 
 def _stage_shipped_bytes(tgds, instance, serial):
-    """Pickled bytes each transport ships for one stage of derived heads.
+    """Pickled per-stage sync bytes: per-fact rows vs the shm control message.
 
-    Builds a fresh index over *instance*, performs the initial sync on both
-    transports (that cost is identical and one-off), then fires the serial
-    candidates as an oblivious stage and measures what each transport would
-    pickle onto the worker pipes for the *incremental* sync — the payload
-    that recurs every stage of a real chase.
+    Builds a fresh index over *instance* and performs the initial sync (a
+    one-off cost either way), then fires the serial candidates as an
+    oblivious stage and measures the *incremental* sync — the payload that
+    recurs every stage of a real chase.  The baseline is what shipping the
+    facts themselves would pickle onto the pipe: the ``(stamp, predicate
+    ID, row)`` triples the stage appended, read from the index's posting
+    columns, plus the symbol-table suffix.
     """
     index = AtomIndex(instance)
-    _, cursor = index.export_slice(None)
+    interner = index.interner
     store = SharedColumnStore()
     store.sync(index)
+    watermark = index.watermark()
+    terms, predicates = interner.term_count(), interner.predicate_count()
     try:
         _fire_heads(index.structure, tgds, serial)
-        wire, _ = index.export_slice(cursor)
+        facts = sorted(
+            (posting.stamps[offset], pid, posting.row(offset))
+            for pid, posting in index.tables()[0].items()
+            for offset in range(posting.cut(watermark), posting.length)
+        )
+        rows = (
+            facts,
+            interner.terms_since(terms),
+            interner.predicates_since(predicates),
+        )
         sync = store.sync(index)
-        return len(pickle.dumps(wire)), len(pickle.dumps(sync))
+        return len(pickle.dumps(rows)), len(pickle.dumps(sync))
     finally:
         store.close()
 
@@ -149,16 +164,13 @@ def test_parallel_discovery_trajectory(
     # parallel result.  The bar below requires BOTH to be ≥ 2.
     os_cpus = os.cpu_count() or 1
     asserted = (workload, params) == ASSERTED
-    wire_stage_bytes = shm_stage_bytes = None
-    if SHM_AVAILABLE:
-        wire_stage_bytes, shm_stage_bytes = _stage_shipped_bytes(
-            tgds, build(workload, **params)[1], serial
-        )
+    wire_stage_bytes, shm_stage_bytes = _stage_shipped_bytes(
+        tgds, build(workload, **params)[1], serial
+    )
     speedups = {}
     for workers in worker_counts:
         with ParallelDiscovery(tgds, workers=workers) as pool:
             pool.discover(index, 0, stage_start)  # warm sync + plans
-            transport = "shm" if pool.shared_memory else "wire"
             parallel_seconds, parallel = _best_of(
                 reps, lambda: pool.discover(index, 0, stage_start)
             )
@@ -178,7 +190,7 @@ def test_parallel_discovery_trajectory(
                     "atoms": len(instance),
                     "candidates": candidates,
                     "workers": workers,
-                    "transport": transport,
+                    "transport": "shm",
                     "cpus": cpus,
                     "os_cpu_count": os_cpus,
                     "serial_seconds": round(serial_seconds, 6),
@@ -190,11 +202,11 @@ def test_parallel_discovery_trajectory(
                 }
             )
         )
-    if asserted and SHM_AVAILABLE:
+    if asserted:
         reduction = wire_stage_bytes / max(shm_stage_bytes, 1)
         assert reduction >= MIN_SHIPPED_REDUCTION, (
             f"shm control message only {reduction:.1f}x smaller than the "
-            f"pickled fact slice (bar: {MIN_SHIPPED_REDUCTION}x, "
+            f"pickled fact rows (bar: {MIN_SHIPPED_REDUCTION}x, "
             f"wire={wire_stage_bytes}B, shm={shm_stage_bytes}B)"
         )
     if asserted and cpus >= 2 and os_cpus >= 2:

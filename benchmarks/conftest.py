@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harnesses.
 
 Every benchmark module regenerates one of the paper's constructions (see
-DESIGN.md §4 and EXPERIMENTS.md).  Each benchmark both *times* the
-construction (via pytest-benchmark) and *prints* the rows/series the paper
-reports, so running ``pytest benchmarks/ --benchmark-only -s`` doubles as the
+README.md).  Each benchmark both *times* the construction (via
+pytest-benchmark) and *prints* the rows/series the paper reports, so running
+``pytest benchmarks/bench_*.py --benchmark-only -s`` doubles as the
 reproduction log.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "experiment(id): links a benchmark to its DESIGN.md experiment id"
+        "markers", "experiment(id): links a benchmark to its experiment id (E1, ...)"
     )
 
 

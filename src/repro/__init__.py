@@ -24,8 +24,9 @@ every construction the paper uses:
   :mod:`repro.reduction`);
 * the FO non-rewritability construction of Section IX (:mod:`repro.fo`).
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every reproduced construction.
+See ``README.md`` for the system overview; the ``benchmarks/bench_*.py``
+modules print the paper-versus-measured record of every reproduced
+construction.
 """
 
 __version__ = "1.0.0"

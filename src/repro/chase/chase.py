@@ -22,7 +22,9 @@ fixpoint was reached within the bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
@@ -57,12 +59,19 @@ class ChaseBudgetExceeded(RuntimeError):
 
 @dataclass
 class ChaseResult:
-    """Outcome of a (bounded) chase run."""
+    """Outcome of a (bounded) chase run.
+
+    Stages are not stored: every trigger firing is recorded in
+    :attr:`provenance` with its stage number, so ``chase_i`` is the input
+    (:attr:`initial`) plus the atoms of the steps with ``stage <= i`` — a
+    prefix of ``provenance.steps``, since steps are recorded in stage order.
+    """
 
     structure: Structure
     reached_fixpoint: bool
     stages_run: int
-    stage_snapshots: List[Structure] = field(default_factory=list)
+    #: ``chase_0``: a private copy of the input.
+    initial: Structure
     provenance: ChaseProvenance = field(default_factory=ChaseProvenance)
     #: Per-run accounting (:class:`repro.obs.report.ChaseRunStats`) attached
     #: by engines that collect it; ``None`` for the reference engine.
@@ -74,9 +83,24 @@ class ChaseResult:
         """Alias for :attr:`reached_fixpoint` (the chase terminated on its own)."""
         return self.reached_fixpoint
 
+    def _steps_through(self, index: int) -> List[ChaseStep]:
+        """The provenance steps of stages ``1..index``."""
+        if not 0 <= index <= self.stages_run:
+            raise IndexError(f"stage {index} out of range 0..{self.stages_run}")
+        steps = self.provenance.steps
+        return steps[: bisect_right(steps, index, key=attrgetter("stage"))]
+
     def stage(self, index: int) -> Structure:
-        """The snapshot ``chase_index(T, D)`` (stage 0 is the input)."""
-        return self.stage_snapshots[index]
+        """A fresh copy of ``chase_index(T, D)`` (stage 0 is the input)."""
+        snapshot = self.initial.copy(name=f"chase_{index}")
+        for step in self._steps_through(index):
+            snapshot.add_atoms(step.new_atoms)
+        return snapshot
+
+    @property
+    def stage_snapshots(self) -> List[Structure]:
+        """Every stage ``chase_0 … chase_stages_run``, built when read."""
+        return [self.stage(index) for index in range(self.stages_run + 1)]
 
     def final(self) -> Structure:
         """The last computed stage."""
@@ -84,13 +108,18 @@ class ChaseResult:
 
     def atoms_added(self) -> int:
         """Total number of atoms added over the whole run."""
-        return len(self.structure.atoms()) - len(self.stage_snapshots[0].atoms())
+        return len(self.structure) - len(self.initial)
 
     def new_atoms_at_stage(self, index: int) -> frozenset:
         """Atoms of ``chase_index`` that are not in ``chase_{index-1}``."""
         if index == 0:
-            return self.stage_snapshots[0].atoms()
-        return self.stage_snapshots[index].atoms() - self.stage_snapshots[index - 1].atoms()
+            return self.initial.atoms()
+        return frozenset(
+            atom
+            for step in self._steps_through(index)
+            if step.stage == index
+            for atom in step.new_atoms
+        )
 
 
 @dataclass
@@ -107,15 +136,11 @@ class ChaseEngine:
     max_atoms:
         Safety budget on the total number of atoms; the run stops (or raises,
         see ``raise_on_budget``) when exceeded.
-    keep_snapshots:
-        Whether to keep a copy of every stage (needed by the late-chase and
-        Figure-1 style constructions; turn off for large benchmark runs).
     """
 
     tgds: Sequence[TGD]
     max_stages: Optional[int] = None
     max_atoms: Optional[int] = None
-    keep_snapshots: bool = True
     raise_on_budget: bool = False
 
     # ------------------------------------------------------------------
@@ -124,19 +149,15 @@ class ChaseEngine:
         current = instance.copy(name=f"chase({instance.name})" if instance.name else "chase")
         null_factory = FreshNullFactory()
         provenance = ChaseProvenance()
-        snapshots: List[Structure] = [current.copy(name="chase_0")] if self.keep_snapshots else [instance.copy(name="chase_0")]
+        initial = instance.copy(name="chase_0")
         stage = 0
         reached_fixpoint = False
         while self.max_stages is None or stage < self.max_stages:
             stage += 1
             fired = self._run_stage(current, null_factory, provenance, stage)
-            if self.keep_snapshots:
-                snapshots.append(current.copy(name=f"chase_{stage}"))
             if not fired:
                 reached_fixpoint = True
                 stage -= 1  # the last stage added nothing: not counted
-                if self.keep_snapshots:
-                    snapshots.pop()
                 break
             if self.max_atoms is not None and len(current) > self.max_atoms:
                 if self.raise_on_budget:
@@ -148,7 +169,7 @@ class ChaseEngine:
             structure=current,
             reached_fixpoint=reached_fixpoint,
             stages_run=stage,
-            stage_snapshots=snapshots,
+            initial=initial,
             provenance=provenance,
         )
 
@@ -237,14 +258,10 @@ def chase(
     instance: Structure,
     max_stages: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    keep_snapshots: bool = True,
 ) -> ChaseResult:
     """Run the lazy chase of *instance* under *tgds* with the given bounds."""
     engine = ChaseEngine(
-        tgds=list(tgds),
-        max_stages=max_stages,
-        max_atoms=max_atoms,
-        keep_snapshots=keep_snapshots,
+        tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms
     )
     return engine.run(instance)
 

@@ -10,7 +10,9 @@ The chase may run forever; the paper exploits exactly this (the infinite
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..core.structure import Structure
@@ -118,12 +120,18 @@ def bounded_run_report(
 ) -> BoundedRunReport:
     """Run the chase with bounds and report growth per stage."""
     result = chase(tgds, instance, max_stages=max_stages, max_atoms=max_atoms)
-    sizes = tuple(len(s.atoms()) for s in result.stage_snapshots)
+    added = Counter()
+    for step in result.provenance:
+        added[step.stage] += len(step.new_atoms)
+    sizes = accumulate(
+        (added[stage] for stage in range(1, result.stages_run + 1)),
+        initial=len(result.initial),
+    )
     return BoundedRunReport(
         reached_fixpoint=result.reached_fixpoint,
         stages_run=result.stages_run,
         atoms_final=len(result.structure.atoms()),
-        atoms_per_stage=sizes,
+        atoms_per_stage=tuple(sizes),
     )
 
 
@@ -131,4 +139,4 @@ def terminates_within(
     tgds: Sequence[TGD], instance: Structure, max_stages: int
 ) -> bool:
     """Empirical check: does the chase reach a fixpoint within *max_stages*?"""
-    return chase(tgds, instance, max_stages=max_stages, keep_snapshots=False).reached_fixpoint
+    return chase(tgds, instance, max_stages=max_stages).reached_fixpoint

@@ -277,8 +277,8 @@ class Structure:
     def canonical_atoms(self) -> Tuple[Atom, ...]:
         """The atoms in canonical (``repr``) order, cached per generation.
 
-        This is the snapshot-export primitive shared by index bulk-loading,
-        the parallel-discovery wire format and the differential harnesses:
+        This is the snapshot-export primitive shared by index bulk-loading
+        and the differential harnesses:
         the ordering is independent of set iteration order (and therefore of
         ``PYTHONHASHSEED``), and the cache is keyed on the :attr:`generation`
         counter so repeated exports of an unchanged structure cost one

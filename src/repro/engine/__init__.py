@@ -15,8 +15,8 @@ Section VIII.E counter-model, the Theorem 1 reduction pipeline.  It contains
   semi-oblivious firing policies with atom/stage budgets;
 * :mod:`~repro.engine.parallel` — an opt-in (``workers=N``)
   ``multiprocessing`` pool that fans each stage's batch trigger discovery
-  out over replica indexes synced through interned wire slices, merging
-  candidates back into canonical order — output stays bit-identical.
+  out over replica indexes synced through shared-memory posting columns,
+  merging candidates back into canonical order — output stays bit-identical.
 
 Heavy consumers select an engine through the shared ``engine=`` parameter
 (accepted by :func:`run_chase`, ``GreenGraphRuleSet.chase``,
@@ -41,7 +41,7 @@ from .delta import (
     head_satisfied_indexed,
     select_delta_executor,
 )
-from .indexes import AtomIndex, WireCursor, WireSlice
+from .indexes import AtomIndex
 from .parallel import ParallelDiscovery, WorkerError
 from .resilience import (
     ResilienceConfig,
@@ -74,7 +74,6 @@ def make_engine(
     tgds: Sequence[TGD],
     max_stages: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    keep_snapshots: bool = True,
     strategy=None,
     workers: Optional[int] = None,
     match_strategy: Optional[str] = None,
@@ -87,12 +86,12 @@ def make_engine(
     names ``"seminaive"`` / ``"reference"``, or an already-constructed engine
     instance.  An instance contributes its *kind* and configuration (firing
     strategy, ``raise_on_budget``) but is re-bound to the call site's
-    workload: the ``tgds`` and ``keep_snapshots`` come from the caller, and
-    the stage/atom budgets are *intersected* (the tighter bound wins), so
-    neither the wrapper's safety budgets nor the instance's own are ever
-    silently discarded.  ``workers=N`` (N ≥ 2) opts the semi-naive engine
-    into parallel batch discovery (:mod:`repro.engine.parallel`); ``None``
-    keeps the instance's own setting, and the reference engine rejects it.
+    workload: the ``tgds`` come from the caller, and the stage/atom budgets
+    are *intersected* (the tighter bound wins), so neither the wrapper's
+    safety budgets nor the instance's own are ever silently discarded.
+    ``workers=N`` (N ≥ 2) opts the semi-naive engine into parallel batch
+    discovery (:mod:`repro.engine.parallel`); ``None`` keeps the instance's
+    own setting, and the reference engine rejects it.
     ``match_strategy`` selects the compiled executor for delta body matching
     (``"nested"`` / ``"hash"`` / ``"wcoj"`` / ``"auto"``, see
     :func:`repro.engine.delta.select_delta_executor`); output is
@@ -146,7 +145,6 @@ def make_engine(
                 tgds=list(tgds),
                 max_stages=min_bound(max_stages, engine.max_stages),
                 max_atoms=min_bound(max_atoms, engine.max_atoms),
-                keep_snapshots=keep_snapshots,
             )
         if strategy is not None:
             engine = replace(engine, strategy=resolve_strategy(strategy))
@@ -155,7 +153,6 @@ def make_engine(
             tgds=list(tgds),
             max_stages=min_bound(max_stages, engine.max_stages),
             max_atoms=min_bound(max_atoms, engine.max_atoms),
-            keep_snapshots=keep_snapshots,
             workers=engine.workers if workers is None else workers,
             match_strategy=(
                 engine.match_strategy if match_strategy is None else match_strategy
@@ -170,7 +167,6 @@ def make_engine(
                 tgds=list(tgds),
                 max_stages=max_stages,
                 max_atoms=max_atoms,
-                keep_snapshots=keep_snapshots,
                 strategy=resolve_strategy(strategy),
                 workers=workers or 0,
                 match_strategy=match_strategy or "nested",
@@ -207,10 +203,7 @@ def make_engine(
                     "the reference engine maintains no index to adopt"
                 )
             return ChaseEngine(
-                tgds=list(tgds),
-                max_stages=max_stages,
-                max_atoms=max_atoms,
-                keep_snapshots=keep_snapshots,
+                tgds=list(tgds), max_stages=max_stages, max_atoms=max_atoms
             )
         raise ValueError(
             f"unknown chase engine {engine!r}; "
@@ -224,7 +217,6 @@ def run_chase(
     instance: Structure,
     max_stages: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    keep_snapshots: bool = True,
     engine: EngineSpec = None,
     strategy=None,
     workers: Optional[int] = None,
@@ -252,7 +244,6 @@ def run_chase(
         tgds,
         max_stages=max_stages,
         max_atoms=max_atoms,
-        keep_snapshots=keep_snapshots,
         strategy=strategy,
         workers=workers,
         match_strategy=match_strategy,
@@ -281,8 +272,6 @@ __all__ = [
     "ResilienceConfigError",
     "SemiNaiveChaseEngine",
     "SupervisedDiscovery",
-    "WireCursor",
-    "WireSlice",
     "WorkerError",
     "compiled_delta_matches",
     "delta_body_matches",

@@ -41,52 +41,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.structure import Structure, StructureListener
 from ..query.interning import Interner
-
-
-@dataclass(frozen=True)
-class WireSlice:
-    """An incremental, picklable export of an :class:`AtomIndex`'s content.
-
-    The stable wire format of the parallel discovery pool
-    (:mod:`repro.engine.parallel`): interned facts travel as
-    ``(stamp, predicate ID, argument-ID row)`` triples in ascending stamp
-    order, together with the suffix of the interner's symbol tables added
-    since the previous export.  A replica that applies every slice in order
-    reproduces the source index bit for bit — same stamps, same posting-list
-    offsets, same interned IDs — so compiled matching on the replica yields
-    rows the exporting side can decode with its own interner.
-
-    ``reset`` is set when the source index rebuilt itself (an atom was
-    removed) since the last export: posting lists were replaced wholesale,
-    so the replica must drop its fact tables (the symbol tables survive, as
-    they do on the source side) and load ``facts`` from scratch.
-    """
-
-    reset: bool
-    term_base: int
-    terms: Tuple[object, ...]
-    predicate_base: int
-    predicates: Tuple[str, ...]
-    facts: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    watermark: int
-    rebuilds: int
-
-
-@dataclass(frozen=True)
-class WireCursor:
-    """Position of a replica in the export stream of one :class:`AtomIndex`."""
-
-    rebuilds: int
-    watermark: int
-    term_count: int
-    predicate_count: int
 
 
 class _Stamped:
@@ -305,7 +265,7 @@ class AtomIndex(StructureListener):
         #: Sorted-trie cache slot of the worst-case-optimal executor, lazily
         #: populated by :func:`repro.query.wcoj.trie_cache_for`.  Validated
         #: against :attr:`rebuilds` and extended along the stamp watermark,
-        #: so it survives incremental growth and replica slice syncs and
+        #: so it survives incremental growth and replica syncs and
         #: drops cleanly on rebuilds.  Opaque to the engine.
         self.trie_cache = None
         if structure is not None:
@@ -397,85 +357,17 @@ class AtomIndex(StructureListener):
             slot.append(offset, stamp)
 
     # ------------------------------------------------------------------
-    # Wire export / replica synchronisation (repro.engine.parallel)
+    # Replica synchronisation (repro.engine.parallel)
     # ------------------------------------------------------------------
-    def export_slice(
-        self, cursor: Optional[WireCursor] = None
-    ) -> Tuple[Optional[WireSlice], WireCursor]:
-        """Everything added since *cursor*, as a picklable :class:`WireSlice`.
-
-        Returns ``(slice, new_cursor)``; the slice is ``None`` when nothing
-        changed (the cheap steady-state answer, decided entirely from the
-        generation counters without touching the tables).  A rebuild since
-        the cursor forces a full re-export with ``reset=True``.
-        """
-        interner = self._interner
-        fresh = WireCursor(
-            rebuilds=self.rebuilds,
-            watermark=self._seq,
-            term_count=interner.term_count(),
-            predicate_count=interner.predicate_count(),
-        )
-        if cursor is not None and cursor == fresh:
-            return None, fresh
-        reset = cursor is None or cursor.rebuilds != self.rebuilds
-        since = 0 if cursor is None else (0 if reset else cursor.watermark)
-        term_base = 0 if cursor is None else cursor.term_count
-        predicate_base = 0 if cursor is None else cursor.predicate_count
-        facts: List[Tuple[int, int, Tuple[int, ...]]] = []
-        for pid, posting in self._by_predicate.items():
-            start = posting.cut(since) if since else 0
-            stamps, row = posting.stamps, posting.row
-            for offset in range(start, len(stamps)):
-                facts.append((stamps[offset], pid, row(offset)))
-        facts.sort()
-        return (
-            WireSlice(
-                reset=reset,
-                term_base=term_base,
-                terms=tuple(interner.terms_since(term_base)),
-                predicate_base=predicate_base,
-                predicates=tuple(interner.predicates_since(predicate_base)),
-                facts=tuple(facts),
-                watermark=self._seq,
-                rebuilds=self.rebuilds,
-            ),
-            fresh,
-        )
-
-    def apply_slice(self, wire: WireSlice) -> None:
-        """Apply an exported slice to this (detached, replica) index.
-
-        The replica ends up with identical stamps, posting-list offsets and
-        interned IDs as the exporting index, which is what makes candidate
-        rows discovered here decodable by the exporter.  Only detached
-        indexes may be replicas — an attached index already has an
-        authoritative source of truth.
-        """
-        if self._structure is not None:
-            raise ValueError("only a detached index can apply wire slices")
-        if wire.reset:
-            self._by_predicate = {}
-            self._by_position = {}
-        self._interner.install_terms(wire.terms, wire.term_base)
-        self._interner.install_predicates(wire.predicates, wire.predicate_base)
-        if wire.reset:
-            # Mirror the source's rebuild count so generation-keyed caches
-            # (compiled plans, executor preambles) on the replica drop any
-            # state that references the discarded posting lists.
-            self.rebuilds = wire.rebuilds
-        decode = self._interner.decode_atom
-        for stamp, pid, row in wire.facts:
-            self._store(decode(pid, row), pid, row, stamp)
-        self._seq = wire.watermark
-
     def apply_shared(self, sync, cache) -> None:
         """Re-bind this (detached, replica) index onto shared-memory columns.
 
-        The zero-copy counterpart of :meth:`apply_slice`: *sync* is a
-        :class:`~repro.engine.shm.ShmSync` control message and *cache* a
-        worker-held :class:`~repro.engine.shm.SegmentCache`.  Instead of
-        replaying fact rows, each posting list's columns are re-pointed at
+        *sync* is a :class:`~repro.engine.shm.ShmSync` control message and
+        *cache* a worker-held :class:`~repro.engine.shm.SegmentCache`.  The
+        replica ends up with identical stamps, posting-list offsets and
+        interned IDs as the source index, which is what makes candidate rows
+        discovered here decodable by the engine.  Instead of replaying fact
+        rows, each posting list's columns are re-pointed at
         ``memoryview`` slices of the segments named by the sync's
         directory — only the ``(predicate, position, value)`` offset refs
         (which have no shared mirror) are extended here, by scanning the

@@ -11,21 +11,19 @@ the posting storage went columnar, shares the fact columns through
 
 How a stage's discovery runs with ``workers=N``:
 
-1. **Sync** — by default the engine mirrors its index's flat posting
-   columns into shared-memory segments (:mod:`repro.engine.shm`) and sends
-   only a :class:`~repro.engine.shm.ShmSync` control message: the
+1. **Sync** — the engine mirrors its index's flat posting columns into
+   shared-memory segments (:mod:`repro.engine.shm`) and sends only a
+   :class:`~repro.engine.shm.ShmSync` control message: the
    ``(watermark, segment directory, symbol-table suffix)`` triple.  Each
    worker attaches the named segments once and re-points its replica's
    posting columns at ``memoryview`` slices — zero fact bytes cross the
-   pipe, regardless of how large the stage's delta was.  The pickled
-   :class:`~repro.engine.indexes.WireSlice` protocol (facts as
-   ``(stamp, predicate ID, row)`` triples) remains the fallback wire for
-   detached/cross-host replicas and platforms without shared memory
-   (``shared_memory=False`` forces it).  Either way the replica ends up
-   with bit-identical stamps, posting offsets and interned IDs (replicas
-   never intern anything themselves — rule constants and predicates are
-   pre-interned parent-side before the first sync, and facts only ever
-   arrive through syncs).
+   pipe, regardless of how large the stage's delta was.  The replica ends
+   up with bit-identical stamps, posting offsets and interned IDs
+   (replicas never intern anything themselves — rule constants and
+   predicates are pre-interned parent-side before the first sync, and
+   facts only ever arrive through syncs).  If the engine cannot allocate or
+   write a segment, the pool closes itself and raises :class:`WorkerError`,
+   like any other unrecoverable pool failure.
 2. **Partition** — one task per TGD; when the rule set is narrower than the
    pool (skewed workloads), each TGD's delta window is additionally split
    into disjoint stamp sub-windows.  A match is seeded exactly at its first
@@ -60,8 +58,8 @@ send broke; ``hang`` — the deadline expired; ``generation`` / ``truncate``
 tasks* were lost.  With ``heal=True`` every faulted worker is terminated
 and respawned against the **current** shm generation: a respawned worker is
 marked *fresh* and receives a full-state sync
-(:meth:`~repro.engine.shm.SharedColumnStore.snapshot` / a full
-``export_slice``) on its next dispatch instead of an incremental suffix it
+(:meth:`~repro.engine.shm.SharedColumnStore.snapshot`) on its next
+dispatch instead of an incremental suffix it
 could not interpret.  Because the merge is keyed by the task list — never
 by which worker computed a row, or when — re-dispatching lost tasks to
 surviving workers is invisible to the result: bit-identity is preserved by
@@ -97,8 +95,8 @@ from ..core.terms import is_rigid
 from ..obs.trace import NULL_SPAN, get_tracer
 from ..testing.faults import active_plan, tamper_payload
 from .delta import Assignment, assignment_layout, iter_encoded_matches
-from .indexes import AtomIndex, WireCursor
-from .shm import DEFAULT_INITIAL_CAPACITY, SHM_AVAILABLE, SegmentCache
+from .indexes import AtomIndex
+from .shm import DEFAULT_INITIAL_CAPACITY, SegmentCache, SharedColumnStore
 
 #: A discovery task: ``(tgd_index, seed_lo, seed_hi)``; ``None`` bounds mean
 #: the full delta window.
@@ -219,14 +217,14 @@ def merge_rows(
 def _worker_main(conn, tgds: Sequence[TGD]) -> None:
     """The worker process loop: sync the replica, run tasks, ship rows back.
 
-    Messages in: ``("run", (transport, payload), delta_lo, stage_start,
-    tasks, strategy, fault_directives, atoms_total)`` where the sync payload
-    is either ``("shm", ShmSync-or-None)`` — attach/re-bind shared-memory
-    segments — or ``("wire", WireSlice-or-None)`` — replay pickled fact rows
-    (the fallback wire); ``("reset",)`` (drop the replica — a keep-alive
-    pool is being re-bound to a fresh engine index, whose sync stream starts
-    over with new stamps and a new interner; segment attachments are kept,
-    the store reuses them); and ``("stop",)``.  Messages out: ``("ok",
+    Messages in: ``("run", sync, delta_lo, stage_start, tasks, strategy,
+    fault_directives, atoms_total)`` where ``sync`` is a
+    :class:`~repro.engine.shm.ShmSync` (attach/re-bind shared-memory
+    segments) or ``None`` (nothing changed); ``("reset",)`` (drop the
+    replica — a keep-alive pool is being re-bound to a fresh engine index,
+    whose sync stream starts over with new stamps and a new interner;
+    segment attachments are kept, the store reuses them); and
+    ``("stop",)``.  Messages out: ``("ok",
     rows_per_task)`` aligned with the incoming task list, or ``("error",
     traceback_text)``.
 
@@ -299,7 +297,7 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
             try:
                 (
                     _,
-                    (transport, payload),
+                    sync,
                     delta_lo,
                     stage_start,
                     tasks,
@@ -307,23 +305,20 @@ def _worker_main(conn, tgds: Sequence[TGD]) -> None:
                     fault_directives,
                     atoms_total,
                 ) = message
-                if payload is not None:
-                    if not payload.reset:
+                if sync is not None:
+                    if not sync.reset:
                         if not synced_once:
                             raise ReplicaDesync(
                                 "generation mismatch: non-reset sync sent "
                                 "to a fresh replica"
                             )
-                        if payload.rebuilds != replica.rebuilds:
+                        if sync.rebuilds != replica.rebuilds:
                             raise ReplicaDesync(
                                 "generation mismatch: sync generation "
-                                f"{payload.rebuilds} != replica generation "
+                                f"{sync.rebuilds} != replica generation "
                                 f"{replica.rebuilds}"
                             )
-                    if transport == "shm":
-                        replica.apply_shared(payload, segments)
-                    else:
-                        replica.apply_slice(payload)
+                    replica.apply_shared(sync, segments)
                     synced_once = True
                 if atoms_total is not None:
                     held = sum(
@@ -406,31 +401,16 @@ class ParallelDiscovery:
         workers: int,
         start_method: Optional[str] = None,
         min_window_split: int = MIN_WINDOW_SPLIT,
-        shared_memory: Optional[bool] = None,
         shm_initial_capacity: int = DEFAULT_INITIAL_CAPACITY,
     ) -> None:
         if workers < 2:
             raise ValueError("a discovery pool needs at least 2 workers")
-        if shared_memory and not SHM_AVAILABLE:  # pragma: no cover - platform
-            raise RuntimeError(
-                "shared_memory=True but multiprocessing.shared_memory "
-                "is unavailable on this platform"
-            )
         self._tgds = list(tgds)
         self._layouts = [assignment_layout(tgd) for tgd in self._tgds]
         self._min_window_split = min_window_split
-        self._cursor: Optional[WireCursor] = None
         self._preinterned = False
-        #: ``None`` auto-selects: shared memory when the platform has it,
-        #: the pickled wire otherwise.  A mid-run shm failure (e.g. a full
-        #: ``/dev/shm``) downgrades to the wire permanently — replicas are
-        #: rebuilt from a reset slice, so the run stays correct.
-        self.shared_memory_requested = (
-            SHM_AVAILABLE if shared_memory is None else shared_memory
-        )
-        self._use_shm = self.shared_memory_requested
         self._shm_initial_capacity = shm_initial_capacity
-        self._store = None
+        self._store: Optional[SharedColumnStore] = None
         #: Workers respawned since the last full sync: their replicas are
         #: empty, so their next dispatch must carry full state, not an
         #: incremental suffix.
@@ -531,7 +511,8 @@ class ParallelDiscovery:
         The keep-alive handshake: a pool outlives a single chase run (see
         :meth:`SemiNaiveChaseEngine.close`), but each run builds a fresh
         engine-side index whose stamps and interner start over — so the
-        replicas, cursor and pre-interning state must start over with it.
+        replicas, the segment mirror and pre-interning state must start
+        over with it.
         Worker processes (and their imported modules) are reused.  A worker
         found dead here (killed between runs) is **respawned**, not fatal:
         the next sync after a reset ships full state to everyone anyway, so
@@ -546,7 +527,6 @@ class ParallelDiscovery:
                 # Died between runs (kill/OOM).  A respawned worker starts
                 # with an empty replica — exactly the post-reset state.
                 self._respawn_worker(worker_id)
-        self._cursor = None
         self._preinterned = False
         # The first sync of the next run is reset=True full state for every
         # worker; nobody needs the special fresh-worker payload.
@@ -603,25 +583,34 @@ class ParallelDiscovery:
         ``stage`` is the engine's 1-based stage number — the coordinate the
         fault injector (:mod:`repro.testing.faults`) keys on; injection is
         disabled when it is ``None``.  The only raise is :class:`WorkerError`
-        when healing itself fails (the pool is closed first).
+        when the shared-memory sync or healing itself fails (the pool is
+        closed first).
         """
         if self._conns is None:
             raise RuntimeError("discovery pool is closed")
         tracer = get_tracer()
         self._preintern(index)
-        payload = self._sync_payload(index)
-        transport, body = payload
-        if body is not None and body.reset:
-            # A reset sync is full state for everyone; fresh workers need
-            # no special payload this dispatch.
-            self._fresh.clear()
+        try:
+            store = self._store
+            if store is None or store.closed:
+                store = self._store = SharedColumnStore(self._shm_initial_capacity)
+            sync = store.sync(index)
+            if sync is not None and sync.reset:
+                # A reset sync is full state for everyone; fresh workers
+                # need no special payload this dispatch.
+                self._fresh.clear()
+            # Respawned workers have empty replicas: they get full state.
+            full_sync = store.snapshot(index) if self._fresh else None
+        except OSError as error:
+            # Shared memory gave out (e.g. /dev/shm full).  The replicas
+            # may now trail the index, so the pool must never serve again;
+            # the supervisor degrades the run to serial discovery.
+            self.close()
+            raise WorkerError(f"shared-memory sync failed: {error!r}") from error
         if tasks is None:
             tasks = self._plan_tasks(delta_lo, stage_start)
         worker_count = len(self._conns)
         parts = [tasks[offset::worker_count] for offset in range(worker_count)]
-        full_payload = None
-        if self._fresh:
-            full_payload = self._full_payload(index, transport)
         # The engine's own atom count at dispatch: the truncation oracle the
         # workers validate against (watermarks are incomparable across
         # rebuilds; the atom total is not).
@@ -630,7 +619,7 @@ class ParallelDiscovery:
         )
         # ---- deterministic fault injection (engine-side) --------------
         directives: Dict[int, List[Tuple]] = {}
-        payload_overrides: Dict[int, Tuple[str, object]] = {}
+        sync_overrides: Dict[int, object] = {}
         injected = 0
         plan = active_plan() if stage is not None else None
         if plan is not None:
@@ -654,17 +643,13 @@ class ParallelDiscovery:
                         else ("hang", ordinal, fault.hang_seconds)
                     )
                 else:
-                    current = payload_overrides.get(victim)
+                    current = sync_overrides.get(victim)
                     if current is None:
-                        current = (
-                            full_payload
-                            if victim in self._fresh and full_payload is not None
-                            else payload
-                        )
-                    tampered = tamper_payload(fault.kind, transport, current[1])
+                        current = full_sync if victim in self._fresh else sync
+                    tampered = tamper_payload(fault.kind, current)
                     if tampered is None:
                         continue  # nothing to tamper this stage; stays armed
-                    payload_overrides[victim] = (transport, tampered)
+                    sync_overrides[victim] = tampered
                 struck.add(victim)
                 plan.consume(fault)
                 injected += 1
@@ -680,15 +665,12 @@ class ParallelDiscovery:
         waiting: Dict[object, Tuple[int, List[Task]]] = {}
         byte_cache: Dict[int, int] = {}
         for worker_id, (conn, part) in enumerate(zip(self._conns, parts)):
-            send_payload = payload_overrides.get(worker_id)
-            if send_payload is None:
-                if worker_id in self._fresh and full_payload is not None:
-                    send_payload = full_payload
-                else:
-                    send_payload = payload
+            send_sync = sync_overrides.get(worker_id)
+            if send_sync is None:
+                send_sync = full_sync if worker_id in self._fresh else sync
             message = (
                 "run",
-                send_payload,
+                send_sync,
                 delta_lo,
                 stage_start,
                 part,
@@ -711,29 +693,27 @@ class ParallelDiscovery:
                 )
                 continue
             waiting[conn] = (worker_id, part)
-            if worker_id in self._fresh and send_payload is full_payload:
+            if worker_id in self._fresh and send_sync is full_sync:
                 self._fresh.discard(worker_id)
             if tracer is not None:
                 # Priced only while tracing: the engine never serialises the
-                # payload itself (each pipe send does), so this pickle exists
-                # purely to tag the worker events with a byte count.  On the
-                # shm path this is the whole per-stage shipped cost — the
-                # control message; fact bytes live in the segments.
+                # sync itself (each pipe send does), so this pickle exists
+                # purely to tag the worker events with a byte count.  This
+                # is the whole per-stage shipped cost — the control message;
+                # fact bytes live in the segments.
                 import pickle
 
-                sent_body = send_payload[1]
-                wire_bytes = byte_cache.get(id(sent_body))
+                wire_bytes = byte_cache.get(id(send_sync))
                 if wire_bytes is None:
                     wire_bytes = (
-                        0 if sent_body is None else len(pickle.dumps(sent_body))
+                        0 if send_sync is None else len(pickle.dumps(send_sync))
                     )
-                    byte_cache[id(sent_body)] = wire_bytes
+                    byte_cache[id(send_sync)] = wire_bytes
                 tracer.event(
                     "parallel.worker",
                     worker=worker_id,
                     tasks=len(part),
                     wire_bytes=wire_bytes,
-                    transport=send_payload[0],
                 )
         # ---- gather (with optional deadline) --------------------------
         deadline_at = None if deadline is None else time.monotonic() + deadline
@@ -796,44 +776,6 @@ class ParallelDiscovery:
         return outcome
 
     # ------------------------------------------------------------------
-    def merge(
-        self, outcome_tasks: Sequence[Task], rows_by_task, index: AtomIndex
-    ) -> List[List[Assignment]]:
-        """Canonical merge of gathered rows (see :func:`merge_rows`)."""
-        return merge_rows(
-            self._tgds, self._layouts, index, outcome_tasks, rows_by_task
-        )
-
-    def serial_rows(
-        self,
-        index: AtomIndex,
-        task: Task,
-        delta_lo: int,
-        stage_start: int,
-        strategy: str = "nested",
-    ) -> List[Tuple[int, ...]]:
-        """One task's rows computed engine-side — the serial fallback.
-
-        Exactly the enumeration a worker would have run
-        (:func:`~repro.engine.delta.iter_encoded_matches` over the same
-        windows), against the engine's own index: slotting the result into
-        ``rows_by_task`` is indistinguishable from a worker reply.
-        """
-        tgd_index, seed_lo, seed_hi = task
-        return list(
-            iter_encoded_matches(
-                self._tgds[tgd_index],
-                self._layouts[tgd_index],
-                index,
-                delta_lo,
-                stage_start,
-                seed_lo,
-                seed_hi,
-                strategy,
-            )
-        )
-
-    # ------------------------------------------------------------------
     def discover(
         self,
         index: AtomIndex,
@@ -886,18 +828,20 @@ class ParallelDiscovery:
                 heal=False,
             )
             if outcome.faults:
-                # A failed worker may have applied the slice only partially,
-                # and the wire cursor has already advanced past it: the
-                # replicas can no longer be trusted to match the export
-                # stream.  Poison the pool so a caller that catches the
-                # error cannot keep using silently-desynced replicas.
+                # A failed worker may have applied the sync only partially,
+                # and the store has already advanced past it: the replicas
+                # can no longer be trusted to match the segment mirror.
+                # Poison the pool so a caller that catches the error cannot
+                # keep using silently-desynced replicas.
                 self.close()
                 detail = "\n".join(
                     f"[worker {fault.worker}: {fault.kind}]\n{fault.detail}"
                     for fault in outcome.faults
                 )
                 raise WorkerError(f"discovery worker failed:\n{detail}")
-            results = self.merge(outcome.tasks, outcome.rows_by_task, index)
+            results = merge_rows(
+                self._tgds, self._layouts, index, outcome.tasks, outcome.rows_by_task
+            )
             span.note(
                 tasks=len(outcome.tasks),
                 candidates=sum(len(bucket) for bucket in results),
@@ -905,70 +849,12 @@ class ParallelDiscovery:
         return results
 
     # ------------------------------------------------------------------
-    @property
-    def shared_memory(self) -> bool:
-        """True while syncs go through shared-memory segments.
-
-        Starts as the resolved ``shared_memory=`` constructor choice and
-        flips to False permanently if the shm backend fails mid-run (the
-        pool downgrades to the pickled wire and rebuilds the replicas).
-        """
-        return self._use_shm
-
-    def _sync_payload(self, index: AtomIndex):
-        """The tagged sync payload for this stage: shm control or wire slice."""
-        if self._use_shm:
-            try:
-                store = self._store
-                if store is None or store.closed:
-                    from .shm import SharedColumnStore
-
-                    store = self._store = SharedColumnStore(
-                        self._shm_initial_capacity
-                    )
-                return ("shm", store.sync(index))
-            except OSError:
-                # Shared memory gave out (e.g. /dev/shm full or unmounted).
-                # Downgrade to the pickled wire for the rest of the pool's
-                # life.  Replica symbol tables are append-only and survive
-                # the switch, so the hand-off cursor carries the symbol
-                # counts shm already shipped; ``rebuilds=-1`` can never match
-                # the index, forcing a reset slice that rebuilds the fact
-                # tables from scratch.
-                self._use_shm = False
-                store, self._store = self._store, None
-                terms = predicates = 0
-                if store is not None:
-                    terms, predicates = store.shipped_symbols()
-                    store.close()
-                self._cursor = WireCursor(
-                    rebuilds=-1,
-                    watermark=0,
-                    term_count=terms,
-                    predicate_count=predicates,
-                )
-        wire, self._cursor = index.export_slice(self._cursor)
-        return ("wire", wire)
-
-    def _full_payload(self, index: AtomIndex, transport: str):
-        """A full-state sync for a fresh (respawned) worker's empty replica.
-
-        Must match the *transport the others are on* this stage, and must
-        not disturb the incremental stream: the shm snapshot re-ships the
-        retained directory, the wire path exports from a ``None`` cursor
-        without advancing the pool's own.
-        """
-        if transport == "shm" and self._store is not None:
-            return ("shm", self._store.snapshot(index))
-        wire, _ = index.export_slice(None)
-        return ("wire", wire)
-
     def _preintern(self, index: AtomIndex) -> None:
         """Intern every symbol a worker's compiler could touch, engine-side.
 
         Compiling a body interns its predicates and rigid constants; doing
-        it here **before the first export** guarantees those IDs travel in
-        the slice and the replicas never allocate IDs of their own — the
+        it here **before the first sync** guarantees those IDs travel in
+        the sync and the replicas never allocate IDs of their own — the
         alignment invariant of :meth:`Interner.install_terms`.
         """
         if self._preinterned:

@@ -20,8 +20,9 @@ never an incremental suffix it could not interpret — and only the *lost
 tasks* are re-dispatched, with exponential backoff between attempts.
 
 **Tier 1 — serial fallback.**  When a stage exhausts its retry budget (or
-the pool itself cannot be healed), the supervisor computes the still-missing
-tasks **engine-side** via the exact per-task enumeration the workers run
+the pool itself cannot be healed, or its shared-memory sync fails), the
+supervisor computes the still-missing tasks **engine-side** via the exact
+per-task enumeration the workers run
 (:func:`~repro.engine.delta.iter_encoded_matches` over the same seed
 windows), closes the pool, and runs every subsequent stage of the run
 serially.  Degradation is terminal *per run*: the next run on a keep-alive
@@ -280,10 +281,10 @@ class SupervisedDiscovery:
                         heal=True,
                     )
                 except WorkerError as error:
-                    # The pool itself could not be healed (respawn failed;
-                    # it is already closed).  Terminal for the pool: either
-                    # finish this stage — and the run — serially, or
-                    # surface the typed error.
+                    # The pool itself could not be healed (a respawn or the
+                    # shared-memory sync failed; it is already closed).
+                    # Terminal for the pool: either finish this stage — and
+                    # the run — serially, or surface the typed error.
                     if not config.serial_fallback:
                         raise
                     if tasks is None:

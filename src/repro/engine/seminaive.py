@@ -11,13 +11,14 @@ costs of the reference implementation:
   complete for the lazy chase);
 * **no structure copy per stage**: "the structure as it was when the stage
   started" is a posting-list prefix located by a sequence-stamp watermark,
-  so the only copies made are the user-visible stage snapshots.
+  and the stages a caller reads are derived from provenance
+  (:meth:`~repro.chase.chase.ChaseResult.stage`).
 
 The paper's stage discipline is preserved exactly — body matches range over
 ``chase_i``, head satisfaction is re-checked against the growing structure —
 and triggers fire in the same canonical order as the reference engine, so
 with the default lazy strategy the two engines produce **bit-identical**
-structures, stage snapshots, null names and provenance.  The reference
+structures, stages, null names and provenance.  The reference
 engine remains authoritative: the property-based differential tests compare
 the two stage by stage.
 """
@@ -57,7 +58,6 @@ class SemiNaiveChaseEngine:
     tgds: Sequence[TGD]
     max_stages: Optional[int] = None
     max_atoms: Optional[int] = None
-    keep_snapshots: bool = True
     raise_on_budget: bool = False
     strategy: FiringStrategy = field(default_factory=lazy_strategy)
     #: Donate the run's AtomIndex to a query-evaluation context so post-chase
@@ -77,12 +77,6 @@ class SemiNaiveChaseEngine:
     #: into the canonical order, so the run stays bit-identical either way.
     #: The firing pass is always serial — the chase discipline demands it.
     workers: int = 0
-    #: Replica sync transport for the worker pool: ``None`` auto-selects
-    #: shared-memory posting columns when the platform supports them
-    #: (zero-copy attach, see :mod:`repro.engine.shm`), ``False`` forces
-    #: the pickled wire-slice protocol (detached/cross-host replicas),
-    #: ``True`` demands shared memory.  Output is bit-identical either way.
-    shared_memory: Optional[bool] = None
     #: Compiled executor for delta body matching: ``"nested"`` (the
     #: historical default), ``"hash"``, ``"wcoj"`` (worst-case-optimal
     #: generic join), or ``"auto"`` (upgrade to WCOJ on cyclic bodies over
@@ -135,17 +129,11 @@ class SemiNaiveChaseEngine:
         if not (self.workers and self.workers >= 2 and self.tgds):
             self.close()
             return None
-        from .shm import SHM_AVAILABLE
-
-        requested = (
-            SHM_AVAILABLE if self.shared_memory is None else self.shared_memory
-        )
         pool = self._pool
         if (
             pool is not None
             and not pool.closed
             and pool.workers == self.workers
-            and pool.shared_memory_requested == requested
             # The worker processes carry the TGD list they were spawned
             # with, so reuse is only sound while the engine still runs the
             # very same rule objects — anything else rebuilds the pool.
@@ -158,9 +146,7 @@ class SemiNaiveChaseEngine:
         self.close()
         from .parallel import ParallelDiscovery
 
-        self._pool = pool = ParallelDiscovery(
-            self.tgds, self.workers, shared_memory=self.shared_memory
-        )
+        self._pool = pool = ParallelDiscovery(self.tgds, self.workers)
         return pool
 
     # ------------------------------------------------------------------
@@ -185,11 +171,7 @@ class SemiNaiveChaseEngine:
         self.strategy.reset()
         max_stages = self.strategy.cap_stages(self.max_stages)
         max_atoms = self.strategy.cap_atoms(self.max_atoms)
-        snapshots: List[Structure] = (
-            [current.copy(name="chase_0")]
-            if self.keep_snapshots
-            else [instance.copy(name="chase_0")]
-        )
+        initial = instance.copy(name="chase_0")
         stage = 0
         reached_fixpoint = False
         delta_lo = 0
@@ -261,13 +243,9 @@ class SemiNaiveChaseEngine:
                             span=stage_span,
                         )
                     delta_lo = stage_start
-                    if self.keep_snapshots:
-                        snapshots.append(current.copy(name=f"chase_{stage}"))
                     if not fired:
                         reached_fixpoint = True
                         stage -= 1  # the last stage added nothing: not counted
-                        if self.keep_snapshots:
-                            snapshots.pop()
                         break
                     if max_atoms is not None and len(current) > max_atoms:
                         if self.raise_on_budget:
@@ -319,7 +297,7 @@ class SemiNaiveChaseEngine:
             structure=current,
             reached_fixpoint=reached_fixpoint,
             stages_run=stage,
-            stage_snapshots=snapshots,
+            initial=initial,
             provenance=provenance,
             stats=stats,
         )

@@ -1,15 +1,15 @@
 """Shared-memory segment management for zero-copy replica synchronisation.
 
-The pickled :class:`~repro.engine.indexes.WireSlice` path ships every fact
-added since the last stage through a pipe — serialisation rent proportional
-to the whole delta window, paid once per worker.  This module is the
-zero-copy alternative for same-host replicas: the engine mirrors its
-columnar posting arrays (``array('q')`` stamp/argument columns, see
-:mod:`repro.engine.indexes`) into ``multiprocessing.shared_memory``
-segments, and workers *attach* the segments by name instead of replaying
-row slices.  Per stage, the only bytes that still travel by message are a
-:class:`ShmSync` control record — the ``(watermark, segment directory,
-symbol-table suffix)`` triple — which is independent of the delta size.
+Pickling every fact added since the last stage through a pipe would cost
+serialisation rent proportional to the whole delta window, paid once per
+worker.  This module is the discovery pool's zero-copy replica sync
+instead: the engine mirrors its columnar posting arrays (``array('q')``
+stamp/argument columns, see :mod:`repro.engine.indexes`) into
+``multiprocessing.shared_memory`` segments, and workers *attach* the
+segments by name instead of replaying row slices.  Per stage, the only
+bytes that still travel by message are a :class:`ShmSync` control record —
+the ``(watermark, segment directory, symbol-table suffix)`` triple — which
+is independent of the delta size.
 
 Layout and growth
 -----------------
@@ -52,19 +52,10 @@ import signal
 import uuid
 import weakref
 from dataclasses import dataclass
+from multiprocessing import shared_memory as _shared_memory
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.trace import get_tracer
-
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-#: True when ``multiprocessing.shared_memory`` is importable on this
-#: platform; the discovery pool falls back to the pickled wire protocol
-#: when it is not (and for detached / cross-host replicas regardless).
-SHM_AVAILABLE = _shared_memory is not None
 
 #: Smallest per-column element capacity of a fresh segment.  Kept modest so
 #: rule-heavy schemas with many tiny predicates do not over-allocate; tests
@@ -89,15 +80,13 @@ class SegmentEntry:
 class ShmSync:
     """The per-stage control message of the shared-memory sync protocol.
 
-    The zero-copy analogue of :class:`~repro.engine.indexes.WireSlice`:
-    instead of fact rows it carries the *segment directory* (where each
+    Instead of fact rows it carries the *segment directory* (where each
     predicate's columns live and how far they are valid) plus the suffix of
     the interner's symbol tables — the only payload whose size scales with
     the delta is the symbol suffix, and only when genuinely new terms
-    appeared.  ``reset`` mirrors the wire protocol: the source index
-    rebuilt itself (or this is the replica's first sync after a pool
-    re-bind), so the replica must drop its fact tables and rescan every
-    directory entry from offset zero.
+    appeared.  ``reset`` means the source index rebuilt itself (or this is
+    the replica's first sync after a pool re-bind), so the replica must
+    drop its fact tables and rescan every directory entry from offset zero.
     """
 
     reset: bool
@@ -223,8 +212,6 @@ class SharedColumnStore:
     """
 
     def __init__(self, initial_capacity: int = DEFAULT_INITIAL_CAPACITY) -> None:
-        if not SHM_AVAILABLE:  # pragma: no cover - platform guard
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
         self._initial_capacity = max(2, initial_capacity)
         #: pid -> (segment, cast view, capacity, arity)
         self._segments: Dict[int, Tuple[object, object, int, int]] = {}
@@ -259,15 +246,6 @@ class SharedColumnStore:
     def segment_names(self) -> Tuple[str, ...]:
         """Names of every live segment (tests assert emptiness after close)."""
         return tuple(seg.name for seg, _, _, _ in self._segments.values())
-
-    def shipped_symbols(self) -> Tuple[int, int]:
-        """``(terms, predicates)`` counts the replicas have installed so far.
-
-        The hand-off point for a transport downgrade: replica symbol tables
-        are append-only and survive a switch to the pickled wire, so the
-        first wire slice must start its symbol suffix exactly here.
-        """
-        return self._terms, self._predicates
 
     def reset(self) -> None:
         """Forget the mirrored index; keep segments for the next run.

@@ -77,9 +77,8 @@ def chase_fragments(
       when reasoning about these structures) and then ``compile``s the swarm
       down to Level 0 (Definition 29).  By Lemma 27 the compiled structure
       satisfies ``T_{Q∞}`` and contains exactly the same spiders, so the
-      daltonised fragments have the same shape; this route is what makes the
-      Theorem 2 experiment tractable and is recorded as a substitution in
-      EXPERIMENTS.md.
+      daltonised fragments have the same shape; this substitution is what
+      makes the Theorem 2 experiment tractable.
     """
     if not via_level1 or seed is not None:
         start = seed if seed is not None else seed_green_spider()
@@ -87,10 +86,9 @@ def chase_fragments(
         result = run_chase(
             tgds, start, max_stages=2 * i, max_atoms=max_atoms, engine=engine
         )
-        stages = result.stage_snapshots
-        early_index = min(i, len(stages) - 1)
-        early = stages[early_index].copy(name=f"chase_{i}")
-        late_atoms = result.structure.atoms() - stages[early_index].atoms()
+        early = result.stage(min(i, result.stages_run))
+        early.name = f"chase_{i}"
+        late_atoms = result.structure.atoms() - early.atoms()
         late = Structure(late_atoms, name=f"chaseL_{2 * i}")
         late.add_element(TAIL_A)
         late.add_element(ANTENNA_B)
@@ -113,10 +111,9 @@ def _fragments_via_level1(
         max_atoms=max_atoms,
         engine=engine,
     )
-    stages = result.stage_snapshots
-    early_index = min(i, len(stages) - 1)
-    early_swarm = Swarm.from_structure(stages[early_index], name=f"swarm_chase_{i}")
-    late_atoms = result.structure.atoms() - stages[early_index].atoms()
+    early_stage = result.stage(min(i, result.stages_run))
+    early_swarm = Swarm.from_structure(early_stage, name=f"swarm_chase_{i}")
+    late_atoms = result.structure.atoms() - early_stage.atoms()
     late_structure = Structure(late_atoms, name=f"swarm_chaseL_{2 * i}")
     late_swarm = Swarm.from_structure(late_structure, name=f"swarm_chaseL_{2 * i}")
     early = compile_swarm(early_swarm, universe, name=f"chase_{i}")

@@ -16,7 +16,7 @@ parameter, evaluates ``Q0`` on both, and runs the Ehrenfeucht–Fraïssé solver
 on the two *view images* for small numbers of rounds.  The full paper
 construction replaces ``Q∞`` by ``Q = Compile(Precompile(T∞ ∪ T□))`` and
 takes ``i`` genuinely large; the report records exactly which parameters
-were explored (see EXPERIMENTS.md).
+were explored.
 """
 
 from __future__ import annotations

@@ -196,7 +196,6 @@ class GreenGraphRuleSet:
         graph: GreenGraph,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
         engine: EngineSpec = None,
     ) -> "GreenGraphChase":
         """Run the chase of *graph* under this rule set.
@@ -209,7 +208,6 @@ class GreenGraphRuleSet:
             graph.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=engine,
         )
         return GreenGraphChase(self, graph, result)
@@ -250,7 +248,7 @@ class GreenGraphChase:
 
     def first_stage_with_one_two_pattern(self) -> Optional[int]:
         """The first stage whose graph contains a 1-2 pattern, if any."""
-        for index in range(len(self.result.stage_snapshots)):
+        for index in range(self.result.stages_run + 1):
             if self.stage_graph(index).contains_one_two_pattern():
                 return index
         return None

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..chase.chase import ChaseResult
 from ..chase.tgd import TGD
 from ..chase.trigger import all_satisfied
 from ..engine import EngineSpec, run_chase
@@ -91,7 +92,7 @@ def check_unrestricted_determinacy(
     structure first (whose :class:`~repro.engine.indexes.AtomIndex` the
     semi-naive engine just donated to the evaluation context — no index
     rebuild), and only on success is the earliest witnessing stage located
-    by binary search over the snapshots.  *context* scopes both the chase
+    by binary search over the stages.  *context* scopes both the chase
     hand-off and every certificate check (``None`` = the shared context).
     """
     from ..query.evaluator import query_holds
@@ -114,13 +115,11 @@ def check_unrestricted_determinacy(
         context=context,
     )
     if query_holds(target, result.structure, answer, context=context):
-        stage_index = _first_stage_with(
-            target, result.stage_snapshots, answer, context=context
-        )
+        stage_index = _first_stage_with(target, result, answer, context=context)
         return DeterminacyReport(
             Verdict.DETERMINED,
             certificate=DeterminacyCertificate(
-                result.stage_snapshots[stage_index], stage=stage_index
+                result.stage(stage_index), stage=stage_index
             ),
             detail=f"red(Q0) reached at chase stage {stage_index}",
         )
@@ -140,22 +139,22 @@ def check_unrestricted_determinacy(
 
 def _first_stage_with(
     target: ConjunctiveQuery,
-    snapshots: Sequence[Structure],
+    result: ChaseResult,
     answer: Tuple[object, ...],
     context=None,
 ) -> int:
-    """The earliest snapshot index at which ``target(answer)`` holds.
+    """The earliest stage of *result* at which ``target(answer)`` holds.
 
-    Pre-condition: it holds at the last snapshot.  Satisfaction at a fixed
+    Pre-condition: it holds at the last stage.  Satisfaction at a fixed
     answer is monotone along chase stages, so binary search applies — only
-    O(log stages) snapshots get queried (and indexed) at all.
+    O(log stages) stages get built and queried at all.
     """
     from ..query.evaluator import query_holds
 
-    lo, hi = 0, len(snapshots) - 1
+    lo, hi = 0, result.stages_run
     while lo < hi:
         mid = (lo + hi) // 2
-        if query_holds(target, snapshots[mid], answer, context=context):
+        if query_holds(target, result.stage(mid), answer, context=context):
             hi = mid
         else:
             lo = mid + 1

@@ -38,7 +38,7 @@ def chase_collapse_witness(result: ChaseResult) -> Dict[object, object]:
     content of Observation 6.
     """
     collapse: Dict[object, object] = {
-        element: element for element in result.stage_snapshots[0].domain()
+        element: element for element in result.initial.domain()
     }
     for step in result.provenance:
         tgd = step.trigger.tgd
@@ -65,7 +65,7 @@ def chase_collapse_witness(result: ChaseResult) -> Dict[object, object]:
     for element in result.structure.domain():
         collapse.setdefault(element, element)
     # Close the mapping transitively onto the input domain.
-    input_domain = result.stage_snapshots[0].domain()
+    input_domain = result.initial.domain()
     changed = True
     while changed:
         changed = False

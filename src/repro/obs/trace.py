@@ -11,7 +11,7 @@ a fixed vocabulary (see the README glossary):
 * ``query.plan.{hit,stale_hit,miss,invalidate}`` and ``query.execute``
   events from the compiled-plan cache and executor dispatch;
 * ``parallel.discover`` spans plus per-worker ``parallel.worker`` events
-  tagged with the worker id, task count and wire-slice byte size;
+  tagged with the worker id, task count and sync-message byte size;
 * fault-tolerance events from the supervised pool
   (:mod:`repro.engine.resilience`): ``parallel.fault.injected`` when the
   fault harness arms a fault, ``parallel.fault.{crash,hang,attach,truncate,

@@ -28,10 +28,10 @@ cache in :attr:`AtomIndex.plan_cache`).  Validation mirrors the plan cache:
   the structure grew) is answered by an uncached fresh build — correct and
   rare, never worth displacing the growing entry.
 
-Replica indexes (:meth:`AtomIndex.apply_slice`) need no special handling:
-applied slices advance the watermark (the growth path) and mirrored rebuild
+Replica indexes (:meth:`AtomIndex.apply_shared`) need no special handling:
+applied syncs advance the watermark (the growth path) and mirrored rebuild
 counters invalidate (the rebuild path), so a worker's tries survive
-steady-state syncs and drop cleanly on reset slices.
+steady-state syncs and drop cleanly on reset syncs.
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ def eastern_strip_rules() -> List[GreenGraphRule]:
     whole construction cannot reach a 1-2 pattern.  The mirror image of the
     southern-strip terminal rule (which keys on the ``⟨s,·,·,·⟩`` edge that
     *does* reach the border) is ``α &·· ⟨e,β,d̄,b⟩``; we implement that
-    reading and record the substitution in EXPERIMENTS.md.
+    reading, and this note is the record of the substitution.
     """
     return [
         div_rule(

@@ -197,7 +197,6 @@ class SwarmRuleSet:
         swarm: Swarm,
         max_stages: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        keep_snapshots: bool = True,
         engine: EngineSpec = None,
     ) -> "SwarmChase":
         """Run the chase of *swarm* under this rule set.
@@ -210,7 +209,6 @@ class SwarmRuleSet:
             swarm.structure(),
             max_stages=max_stages,
             max_atoms=max_atoms,
-            keep_snapshots=keep_snapshots,
             engine=engine,
         )
         return SwarmChase(self, swarm, result)
@@ -242,7 +240,7 @@ class SwarmChase:
 
     def first_stage_with_red_spider(self) -> Optional[int]:
         """The first stage containing a full-red-spider edge, if any."""
-        for index in range(len(self.result.stage_snapshots)):
+        for index in range(self.result.stages_run + 1):
             if self.stage_swarm(index).contains_red_spider():
                 return index
         return None

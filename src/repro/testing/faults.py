@@ -190,42 +190,38 @@ def active_plan() -> Optional[FaultPlan]:
 # ----------------------------------------------------------------------
 # Payload tampering (engine-side sync faults)
 # ----------------------------------------------------------------------
-def tamper_payload(kind: str, transport: str, body):
-    """The tampered sync *body* for an armed sync-level fault, or ``None``.
+def tamper_payload(kind: str, sync):
+    """The tampered :class:`~repro.engine.shm.ShmSync` for an armed
+    sync-level fault, or ``None``.
 
-    ``None`` means the fault is not injectable here (no payload this stage,
-    wrong transport, nothing left to drop) — the caller leaves the fault
-    armed for a later opportunity instead of counting a phantom injection.
-    The tampering is chosen so the *worker-side* validation in
-    :mod:`repro.engine.parallel` provably detects it:
+    ``None`` means the fault is not injectable here (no sync this stage,
+    nothing left to drop) — the caller leaves the fault armed for a later
+    opportunity instead of counting a phantom injection.  The tampering is
+    chosen so the *worker-side* validation in :mod:`repro.engine.parallel`
+    provably detects it:
 
-    * ``truncate`` drops the last directory entry (shm) / fact row (wire),
-      so the replica's atom total falls short of the engine's declared
-      count;
+    * ``truncate`` drops the last directory entry, so the replica's atom
+      total falls short of the engine's declared count;
     * ``generation`` rewrites the sync's rebuild generation on a non-reset
       message, tripping the replica's generation check;
-    * ``attach`` (shm only) renames a directory entry to a segment that was
-      never created, so the worker's attach raises ``FileNotFoundError``.
+    * ``attach`` renames a directory entry to a segment that was never
+      created, so the worker's attach raises ``FileNotFoundError``.
     """
-    if body is None:
+    if sync is None:
         return None
     if kind == "truncate":
-        if transport == "shm":
-            if not body.directory:
-                return None
-            return replace(body, directory=body.directory[:-1])
-        if not body.facts:
+        if not sync.directory:
             return None
-        return replace(body, facts=body.facts[:-1])
+        return replace(sync, directory=sync.directory[:-1])
     if kind == "generation":
-        return replace(body, reset=False, rebuilds=body.rebuilds + 7)
+        return replace(sync, reset=False, rebuilds=sync.rebuilds + 7)
     if kind == "attach":
-        if transport != "shm" or not body.directory:
+        if not sync.directory:
             return None
-        victim = body.directory[-1]
+        victim = sync.directory[-1]
         return replace(
-            body,
-            directory=body.directory[:-1]
+            sync,
+            directory=sync.directory[:-1]
             + (replace(victim, name=victim.name + "-missing"),),
         )
     raise ValueError(f"not a sync-level fault kind: {kind!r}")

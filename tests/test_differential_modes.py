@@ -16,7 +16,7 @@ bits) and for the oblivious / semi-oblivious strategies (where the serial
 semi-naive engine is the oracle — the reference engine is always lazy).
 
 "Bit-identical" means: same final atoms *and domains* (null names
-included), same stage snapshots, same fixpoint flag, and the same fact
+included), same stages, same fixpoint flag, and the same fact
 sequence / trigger order as recorded by provenance.  Randomisation is
 ``random.Random(seed)``-driven so every failure reproduces exactly.
 """
@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.chase import chase
+from repro.chase.chase import ChaseEngine
 from repro.chase.tgd import TGD
 from repro.core.atoms import Atom
 from repro.core.structure import Structure
@@ -34,6 +35,9 @@ from repro.engine import run_chase
 
 MAX_STAGES = 3
 MAX_ATOMS = 120
+#: Atom budget of the unbounded-stage runs: some seeds reach a fixpoint
+#: under it, the others are stopped by it mid-run.
+STOP_ATOMS = 60
 
 _SEEDS = list(range(10))
 _STRATEGIES = ("lazy", "oblivious", "semi-oblivious")
@@ -130,24 +134,34 @@ def test_eager_strategies_parallel_matches_serial(seed, strategy):
     )
 
 
-@pytest.mark.parametrize("seed", _SEEDS[:4])
-def test_wire_fallback_transport_is_bit_identical(seed):
-    # Replicas fed pickled fact slices (the fallback wire for detached or
-    # shm-less hosts) must produce the same bits as the shared-memory
-    # transport and as the serial engine.
-    from repro.engine import SemiNaiveChaseEngine
-
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("engine", ("reference", "seminaive"))
+def test_stages_derived_from_provenance_match_iter_stages(seed, engine):
+    # Results keep no per-stage copies: stage i is rebuilt from the input
+    # and the provenance steps of stages 1..i.  The reference generator,
+    # which copies its working structure after every stage, is the oracle.
+    # Without a stage bound each case either reaches a fixpoint or stops
+    # on the atom budget; both endings are covered across the seeds.
     rules, instance = random_case(seed)
-    serial = run_chase(rules, instance, MAX_STAGES, MAX_ATOMS)
-    wire = run_chase(
-        rules,
-        instance,
-        MAX_STAGES,
-        MAX_ATOMS,
-        engine=SemiNaiveChaseEngine(tgds=[], shared_memory=False),
-        workers=2,
-    )
-    assert_bit_identical(serial, wire, f"wire transport seed={seed}")
+    oracle = list(ChaseEngine(rules, None, STOP_ATOMS).iter_stages(instance))
+    result = run_chase(rules, instance, None, STOP_ATOMS, engine=engine)
+    label = f"engine={engine} seed={seed}"
+    stages = [result.stage(i) for i in range(result.stages_run + 1)]
+    assert len(stages) == len(oracle), label
+    for index, (expected, produced) in enumerate(zip(oracle, stages)):
+        assert produced.atoms() == expected.atoms(), label
+        assert produced.domain() == expected.domain(), label
+        before = oracle[index - 1].atoms() if index else frozenset()
+        assert result.new_atoms_at_stage(index) == expected.atoms() - before, label
+    assert result.atoms_added() == len(oracle[-1]) - len(oracle[0]), label
+
+
+def test_stage_cases_cover_fixpoints_and_budget_stops():
+    endings = {
+        run_chase(*random_case(seed), None, STOP_ATOMS).reached_fixpoint
+        for seed in _SEEDS
+    }
+    assert endings == {True, False}
 
 
 def test_harness_actually_exercises_firings():

@@ -1,7 +1,7 @@
 """Unit tests for parallel batch discovery (repro.engine.parallel).
 
-The wire format (interned fact slices), the replica-index synchronisation
-protocol, the pool's task partitioning (per-TGD and delta-window splitting)
+The shared-memory replica-index synchronisation protocol, the pool's task
+partitioning (per-TGD and delta-window splitting)
 and the engine-level ``workers=`` opt-in are each pinned here; the
 whole-run bit-identity of the parallel engine across firing strategies
 lives in ``tests/test_differential_modes.py``.
@@ -59,68 +59,7 @@ def assert_same_index(replica, source):
 
 
 # ----------------------------------------------------------------------
-# Wire slices: full, incremental, steady-state, rebuild reset
-# ----------------------------------------------------------------------
-def test_wire_slice_full_and_incremental_round_trip():
-    structure = structure_from_text("R(1,2), R(2,3), S(3,4)")
-    index = AtomIndex(structure)
-    wire, cursor = index.export_slice(None)
-    assert wire.reset and wire.term_base == 0
-    replica = AtomIndex()
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # Unchanged index: the steady-state export is None and costs nothing.
-    wire, cursor = index.export_slice(cursor)
-    assert wire is None
-    # Growth ships only the suffix: new facts, new symbols, same stamps.
-    structure.add_fact("R", "3", "9")
-    structure.add_fact("T", "9")
-    wire, cursor = index.export_slice(cursor)
-    assert not wire.reset
-    assert len(wire.facts) == 2
-    assert "T" in wire.predicates and "9" in wire.terms
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # And the replica answers the same queries as the source.
-    assert list(replica.atoms("R")) == list(index.atoms("R"))
-    assert replica.count_with_value("R", 0, "3") == 1
-
-
-def test_wire_slice_reset_after_rebuild_syncs_replica():
-    structure = structure_from_text("R(1,2), R(2,3)")
-    index = AtomIndex(structure)
-    wire, cursor = index.export_slice(None)
-    replica = AtomIndex()
-    replica.apply_slice(wire)
-    structure.remove_atom(Atom("R", ("1", "2")))  # full index rebuild
-    assert index.rebuilds == 1
-    wire, cursor = index.export_slice(cursor)
-    assert wire.reset
-    replica.apply_slice(wire)
-    assert_same_index(replica, index)
-    # Interned IDs survived the rebuild on both sides (append-only tables).
-    assert replica.interner.term_id("1") == index.interner.term_id("1")
-
-
-def test_wire_slice_survives_pickling():
-    structure = structure_from_text("R(1,2), S(2,#c)")
-    index = AtomIndex(structure)
-    wire, _ = index.export_slice(None)
-    replica = AtomIndex()
-    replica.apply_slice(pickle.loads(pickle.dumps(wire)))
-    assert_same_index(replica, index)
-
-
-def test_apply_slice_requires_detached_index():
-    structure = structure_from_text("R(1,2)")
-    index = AtomIndex(structure)
-    wire, _ = index.export_slice(None)
-    with pytest.raises(ValueError):
-        index.apply_slice(wire)
-
-
-# ----------------------------------------------------------------------
-# Interning across the pickle/wire boundary
+# Interning across the pickle boundary
 # ----------------------------------------------------------------------
 def test_interner_round_trip_across_pickle_boundary():
     interner = Interner()
@@ -224,9 +163,9 @@ def test_pool_resyncs_after_index_rebuild():
 
 def test_pool_is_poisoned_after_a_worker_failure(monkeypatch):
     # Once a worker has failed, its replica may have applied the stage's
-    # wire slice only partially while the cursor already advanced — the
-    # pool must refuse further use instead of serving from desynced
-    # replicas.  A task with an out-of-range TGD index forces the failure.
+    # sync only partially while the store already advanced — the pool must
+    # refuse further use instead of serving from desynced replicas.  A task
+    # with an out-of-range TGD index forces the failure.
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
     pool = ParallelDiscovery(TGDS, workers=2)
@@ -408,19 +347,18 @@ def test_keep_alive_engine_recovers_after_abrupt_worker_death():
 # ----------------------------------------------------------------------
 # Shared-memory columnar sync (repro.engine.shm)
 # ----------------------------------------------------------------------
+import gc
+import glob
 import os
 import subprocess
 import sys
 import textwrap
 
-from repro.engine.shm import SHM_AVAILABLE, SegmentCache, SharedColumnStore
-
-shm_only = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
-)
+import repro.obs as obs
+from repro.engine import WorkerError
+from repro.engine.shm import SegmentCache, SharedColumnStore
 
 
-@shm_only
 def test_apply_shared_full_and_incremental_round_trip():
     structure = structure_from_text("R(1,2), R(2,3), S(3,4)")
     index = AtomIndex(structure)
@@ -448,11 +386,14 @@ def test_apply_shared_full_and_incremental_round_trip():
         assert list(replica.atoms("R")) == list(index.atoms("R"))
         assert replica.count_with_value("R", 0, "3") == 1
     finally:
+        # The replica's posting columns are views of the attached segments:
+        # drop them before the mappings close, as the worker loop does.
+        replica = None
+        gc.collect()
         cache.close()
         store.close()
 
 
-@shm_only
 def test_apply_shared_requires_detached_index():
     structure = structure_from_text("R(1,2)")
     index = AtomIndex(structure)
@@ -467,7 +408,6 @@ def test_apply_shared_requires_detached_index():
         store.close()
 
 
-@shm_only
 def test_shared_segments_grow_by_doubling_mid_run():
     structure = structure_from_text("R(0,1)")
     index = AtomIndex(structure)
@@ -489,11 +429,14 @@ def test_shared_segments_grow_by_doubling_mid_run():
         # exists on disk.
         assert not os.path.exists(f"/dev/shm/{first_name}")
     finally:
+        # The replica's posting columns are views of the attached segments:
+        # drop them before the mappings close, as the worker loop does.
+        replica = None
+        gc.collect()
         cache.close()
         store.close()
 
 
-@shm_only
 def test_replica_reattaches_after_index_rebuild():
     structure = structure_from_text("R(0,1), R(1,2), R(2,0)")
     index = AtomIndex(structure)
@@ -511,11 +454,14 @@ def test_replica_reattaches_after_index_rebuild():
         # Interned IDs survived the rebuild on both sides.
         assert replica.interner.term_id("1") == index.interner.term_id("1")
     finally:
+        # The replica's posting columns are views of the attached segments:
+        # drop them before the mappings close, as the worker loop does.
+        replica = None
+        gc.collect()
         cache.close()
         store.close()
 
 
-@shm_only
 def test_store_close_is_idempotent_and_unlinks_segments():
     structure = structure_from_text("R(1,2), S(2,3)")
     index = AtomIndex(structure)
@@ -531,7 +477,6 @@ def test_store_close_is_idempotent_and_unlinks_segments():
         store.sync(index)
 
 
-@shm_only
 def test_store_reset_recycles_segments_for_the_next_run():
     first = structure_from_text("R(1,2), R(2,3)")
     index = AtomIndex(first)
@@ -552,53 +497,61 @@ def test_store_reset_recycles_segments_for_the_next_run():
         assert_same_index(replica2, index2)
         assert set(store.segment_names()) & set(names), "segments recycled"
     finally:
+        # The replica's posting columns are views of the attached segments:
+        # drop them before the mappings close, as the worker loop does.
+        replica = replica2 = None
+        gc.collect()
         cache.close()
         store.close()
 
 
-def test_pool_wire_fallback_matches_serial():
-    structure = structure_from_text(
-        ", ".join(f"R({i},{(i + 1) % 9})" for i in range(9)) + ", R(4,4)"
-    )
-    index = AtomIndex(structure)
-    stage_start = index.watermark()
-    serial = serial_discovery(TGDS, index, 0, stage_start)
-    with ParallelDiscovery(TGDS, workers=2, shared_memory=False) as pool:
-        assert not pool.shared_memory and not pool.shared_memory_requested
-        parallel = pool.discover(index, 0, stage_start)
-        assert pool._store is None  # the wire path never allocates segments
-    for serial_part, parallel_part in zip(serial, parallel):
-        assert canonical(parallel_part) == canonical(serial_part)
+def test_pool_degrades_to_serial_when_shm_fails_mid_run(monkeypatch):
+    # Shared memory gives out after the first stage's sync (e.g. /dev/shm
+    # full).  The pool cannot keep its replicas in step any more, so it
+    # closes itself and raises WorkerError; the supervisor finishes the run
+    # serially, bit for bit.
+    tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
+    instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(12)))
+    serial = run_chase(tgds, instance, 50, 50_000)
+    segments_before = set(glob.glob("/dev/shm/repro-*"))
+    original_sync = SharedColumnStore.sync
+    syncs = []
 
+    def sync_then_fail(store, index):
+        syncs.append(index)
+        if len(syncs) > 1:
+            raise OSError(28, "No space left on device")
+        return original_sync(store, index)
 
-@shm_only
-def test_pool_downgrades_to_wire_when_shm_fails_mid_run(monkeypatch):
+    monkeypatch.setattr(SharedColumnStore, "sync", sync_then_fail)
+    lines = []
+    obs.enable_tracing(lines.append)
+    try:
+        result = run_chase(tgds, instance, 50, 50_000, workers=2)
+    finally:
+        obs.disable_tracing()
+    assert result.structure.atoms() == serial.structure.atoms()
+    assert result.structure.domain() == serial.structure.domain()
+    assert result.stages_run == serial.stages_run
+    assert [(s.trigger, s.new_atoms) for s in result.provenance] == [
+        (s.trigger, s.new_atoms) for s in serial.provenance
+    ]
+    assert result.stats.faults["degraded"] == 1
+    assert any('"parallel.degrade"' in line for line in lines)
+    # Without supervision the same failure is typed and closes the pool.
+    syncs.clear()
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
-    with ParallelDiscovery(TGDS, workers=2) as pool:
-        stage_start = index.watermark()
-        first = pool.discover(index, 0, stage_start)
-        assert pool.shared_memory
-        # The shm backend gives out (e.g. /dev/shm full): the pool must
-        # downgrade to the pickled wire, rebuild the replicas from a reset
-        # slice, and keep producing the serial match set.
-        def explode(index):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(pool._store, "sync", explode)
-        structure.add_fact("R", "2", "3")
-        delta_lo, stage_start = stage_start, index.watermark()
-        serial = serial_discovery(TGDS, index, delta_lo, stage_start)
-        parallel = pool.discover(index, delta_lo, stage_start)
-        assert not pool.shared_memory and pool._store is None
-        for serial_part, parallel_part in zip(serial, parallel):
-            assert canonical(parallel_part) == canonical(serial_part)
-        assert canonical(first[0]) == canonical(
-            serial_discovery(TGDS, index, 0, delta_lo)[0]
-        )
+    pool = ParallelDiscovery(TGDS, workers=2)
+    stage_start = index.watermark()
+    pool.discover(index, 0, stage_start)
+    structure.add_fact("R", "2", "3")
+    with pytest.raises(WorkerError, match="shared-memory sync failed"):
+        pool.discover(index, stage_start, index.watermark())
+    assert pool.closed
+    assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
 
 
-@shm_only
 def test_pool_shm_growth_mid_run_matches_serial():
     structure = structure_from_text("R(0,1), R(1,2)")
     index = AtomIndex(structure)
@@ -616,26 +569,6 @@ def test_pool_shm_growth_mid_run_matches_serial():
             assert canonical(parallel_part) == canonical(serial_part)
 
 
-@shm_only
-def test_engine_shared_memory_knob_runs_bit_identical():
-    tgds = parse_tgds("R(x,y), R(y,z) -> S(x,z)", "S(x,y), R(y,z) -> S(x,z)")
-    instance = structure_from_text(", ".join(f"R({i},{i + 1})" for i in range(12)))
-    serial = run_chase(tgds, instance, 50, 50_000)
-    for shared_memory in (True, False, None):
-        with SemiNaiveChaseEngine(
-            tgds=list(tgds), max_stages=50, max_atoms=50_000,
-            workers=2, shared_memory=shared_memory,
-        ) as engine:
-            result = engine.run(instance)
-        assert result.structure.atoms() == serial.structure.atoms()
-        assert result.structure.domain() == serial.structure.domain()
-        assert len(result.provenance) == len(serial.provenance)
-        for expected, produced in zip(serial.provenance, result.provenance):
-            assert produced.trigger == expected.trigger
-            assert produced.new_atoms == expected.new_atoms
-
-
-@shm_only
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 def test_no_segment_leak_or_tracker_noise_at_interpreter_exit():
     # The atexit hook is the last line of defence: a process that never

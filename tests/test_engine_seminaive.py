@@ -168,15 +168,15 @@ def test_seminaive_respects_atom_budget_and_raise_flag():
 
 
 def test_seminaive_without_snapshots_keeps_only_the_input_snapshot():
+    # A result stores its input copy and provenance, no per-stage copies;
+    # every later stage is rebuilt when asked for.
     tgds = parse_tgds("R(x,y) -> R(y,z)")
-    result = run_chase(
-        tgds,
-        structure_from_text("R(1,2)"),
-        max_stages=4,
-        keep_snapshots=False,
-    )
-    assert len(result.stage_snapshots) == 1
+    result = run_chase(tgds, structure_from_text("R(1,2)"), max_stages=4)
     assert result.stages_run == 4
+    assert result.initial.atoms() == structure_from_text("R(1,2)").atoms()
+    assert [len(result.stage(i)) for i in range(5)] == [1, 2, 3, 4, 5]
+    with pytest.raises(IndexError):
+        result.stage(5)
 
 
 # ----------------------------------------------------------------------

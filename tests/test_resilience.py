@@ -32,7 +32,6 @@ from repro.engine import (
     resolve_resilience,
     run_chase,
 )
-from repro.engine.shm import SHM_AVAILABLE
 from repro.obs import summarize_trace
 from repro.testing import faults as faults_module
 from repro.testing.faults import (
@@ -91,8 +90,6 @@ def assert_no_leaks():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_single_fault_recovers_bit_identical(kind):
-    if kind == "attach" and not SHM_AVAILABLE:
-        pytest.skip("attach faults need the shared-memory transport")
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     install_fault_plan(
         FaultPlan(faults=[Fault(kind=kind, stage=2, worker=0, task=0,
@@ -120,13 +117,9 @@ def chaos_seeds():
 
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_seeded_fault_schedule_completes_or_raises_typed(seed):
-    kinds = FAULT_KINDS if SHM_AVAILABLE else tuple(
-        kind for kind in FAULT_KINDS if kind != "attach"
-    )
     serial = run_chase(TGDS, fresh_instance(), 50, 50_000)
     install_fault_plan(
-        random_fault_plan(seed, stages=4, count=3, kinds=kinds,
-                          hang_seconds=30.0)
+        random_fault_plan(seed, stages=4, count=3, hang_seconds=30.0)
     )
     config = ResilienceConfig(stage_deadline=2.0, max_retries=2,
                               backoff_seconds=0.01)
@@ -252,7 +245,7 @@ def test_budget_exception_closes_pool_and_releases_workers():
     tgds = parse_tgds("R(x,y) -> R(y,w)")  # null-generating: never terminates
     instance = structure_from_text("R(0,1)")
     engine = SemiNaiveChaseEngine(
-        tgds=list(tgds), max_stages=50, max_atoms=10, keep_snapshots=False,
+        tgds=list(tgds), max_stages=50, max_atoms=10,
         raise_on_budget=True, workers=2,
     )
     with pytest.raises(ChaseBudgetExceeded):
@@ -414,9 +407,9 @@ def test_env_arming_parses_repro_faults(monkeypatch):
 
 
 def test_tamper_payload_edges():
-    assert tamper_payload("truncate", "shm", None) is None
+    assert tamper_payload("truncate", None) is None
     with pytest.raises(ValueError):
-        tamper_payload("crash", "shm", object())
+        tamper_payload("crash", object())
 
 
 # ----------------------------------------------------------------------
@@ -507,8 +500,7 @@ def test_sigterm_mid_chase_unlinks_segments_and_exits_cleanly():
         tgds = parse_tgds("R(x,y) -> R(y,w)")  # runs until the budget
         instance = structure_from_text("R(0,1)")
         print("RUNNING", flush=True)
-        run_chase(tgds, instance, None, 5_000_000, keep_snapshots=False,
-                  workers=2)
+        run_chase(tgds, instance, None, 5_000_000, workers=2)
         print("FINISHED")  # only reached if the signal lost the race
         """
     )
