@@ -114,30 +114,51 @@ def test_engine_trajectory_on_figure1(benchmark, report_lines):
 #: epsilon so a sub-10ms workload cannot fail on scheduler noise alone.
 OVERHEAD_FACTOR = 1.05
 OVERHEAD_EPSILON_SECONDS = 0.005
-OVERHEAD_ROUNDS = 5
+OVERHEAD_PAIRS = 7
+
+
+def _median(values):
+    ordered = sorted(values)
+    return ordered[len(ordered) // 2]
 
 
 @pytest.mark.experiment("E16")
 def test_stats_collection_overhead_on_chain40(report_lines):
-    """Best-of-N chain-40 chase, stats on vs off — asserts the ≤5% bar."""
+    """Chain-40 chase, stats on vs off — asserts the ≤5% bar.
+
+    Measured as interleaved, paired rounds: each pair times one run per mode,
+    alternating which mode goes first, and the statistic is the median of
+    the per-pair ratios (the method of E20's telemetry-overhead bar).  Heap
+    state left behind by earlier benchmarks, or drift within this one, then
+    lands on both sides alike instead of on whichever mode was timed last.
+    """
     tgds = parse_tgds(*_TC_RULES)
     instance = _chain_instance(40)
 
-    def best_of(collect_stats: bool) -> float:
-        best = float("inf")
-        for _ in range(OVERHEAD_ROUNDS):
-            engine = SemiNaiveChaseEngine(
-                tgds, max_stages=200, max_atoms=500_000,
-                collect_stats=collect_stats,
-            )
-            with stopwatch() as sw:
-                result = engine.run(instance)
-            assert result.reached_fixpoint
-            best = min(best, sw.seconds)
-        return best
+    def timed_run(collect_stats: bool) -> float:
+        engine = SemiNaiveChaseEngine(
+            tgds, max_stages=200, max_atoms=500_000,
+            collect_stats=collect_stats,
+        )
+        with stopwatch() as sw:
+            result = engine.run(instance)
+        assert result.reached_fixpoint
+        return sw.seconds
 
-    baseline = best_of(False)   # the pre-telemetry hot path
-    instrumented = best_of(True)  # the default: stats on, obs disabled
+    timed_run(False)  # warm-up, untimed: module imports and caches
+    timed_run(True)
+    baselines, instrumented_runs, ratios = [], [], []
+    for pair in range(OVERHEAD_PAIRS):
+        # False = the pre-telemetry hot path; True = the default (stats on,
+        # obs disabled).
+        modes = (False, True) if pair % 2 == 0 else (True, False)
+        seconds = {mode: timed_run(mode) for mode in modes}
+        baselines.append(seconds[False])
+        instrumented_runs.append(seconds[True])
+        ratios.append(seconds[True] / max(seconds[False], 1e-9))
+    baseline = _median(baselines)
+    instrumented = _median(instrumented_runs)
+    ratio = _median(ratios)
     report_lines(
         json.dumps(
             {
@@ -145,11 +166,11 @@ def test_stats_collection_overhead_on_chain40(report_lines):
                 "workload": "stats-overhead-chain-40",
                 "baseline_seconds": round(baseline, 6),
                 "instrumented_seconds": round(instrumented, 6),
-                "overhead_ratio": round(
-                    instrumented / max(baseline, 1e-9), 4
-                ),
+                "overhead_ratio": round(ratio, 4),
                 "peak_rss_kb": peak_rss_kb(),
             }
         )
     )
-    assert instrumented <= baseline * OVERHEAD_FACTOR + OVERHEAD_EPSILON_SECONDS
+    # ``instrumented <= baseline × FACTOR + EPSILON``, stated on the paired
+    # ratio.
+    assert ratio <= OVERHEAD_FACTOR + OVERHEAD_EPSILON_SECONDS / max(baseline, 1e-9)

@@ -36,8 +36,6 @@ from ..chase.tgd import TGD
 from ..core.structure import Structure
 from .delta import (
     compiled_delta_matches,
-    delta_body_matches,
-    delta_frontier_keys,
     head_satisfied_indexed,
     select_delta_executor,
 )
@@ -274,8 +272,6 @@ __all__ = [
     "SupervisedDiscovery",
     "WorkerError",
     "compiled_delta_matches",
-    "delta_body_matches",
-    "delta_frontier_keys",
     "head_satisfied_indexed",
     "lazy_strategy",
     "make_engine",

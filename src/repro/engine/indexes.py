@@ -33,8 +33,9 @@ predicate, enforced by the schema layer), so the compiled executor
 of chasing per-row tuples, and the same columns can be re-bound onto
 ``multiprocessing.shared_memory`` views on replica indexes (zero-copy
 attach; see :mod:`repro.engine.shm` and :meth:`AtomIndex.apply_shared`).
-The object-level API below (``atoms``, ``candidates``, …) is kept
-bit-for-bit compatible for the interpreted paths and the tests.
+The object-level API below (``atoms``, ``atoms_with_value``, …) decodes
+posting rows back into :class:`~repro.core.atoms.Atom` objects for the
+engine and the tests.
 """
 
 from __future__ import annotations
@@ -468,7 +469,7 @@ class AtomIndex(StructureListener):
         }
 
     # ------------------------------------------------------------------
-    # Object-level queries (interpreted paths, engine, tests)
+    # Object-level queries (engine, tests)
     # ------------------------------------------------------------------
     def watermark(self) -> int:
         """The next sequence stamp; atoms added later stamp ≥ this value."""
@@ -520,26 +521,3 @@ class AtomIndex(StructureListener):
             return 0
         slot = self._by_position.get((pid, position, vid))
         return 0 if slot is None else slot.count_before(hi)
-
-    def candidates(
-        self,
-        atom: Atom,
-        bound: Dict[int, object],
-        hi: Optional[int] = None,
-    ) -> Iterator[Atom]:
-        """Candidate target atoms for matching *atom* given *bound* positions.
-
-        ``bound`` maps argument positions to already-determined values (from
-        rigid constants or earlier variable bindings).  The most selective
-        position index is consulted; full verification of every position is
-        the caller's job (see :func:`repro.engine.delta.extend_assignment`).
-        """
-        if not bound:
-            return self.atoms(atom.predicate, None, hi)
-        best_position, best_value = min(
-            bound.items(),
-            key=lambda item: self.count_with_value(
-                atom.predicate, item[0], item[1], hi
-            ),
-        )
-        return self.atoms_with_value(atom.predicate, best_position, best_value, hi)

@@ -5,7 +5,7 @@ containment witnesses, determinacy certificate checks, TGD satisfaction,
 spider-query matching, the Lemma-25 cross-validation — used to spin up a
 fresh backtracking :class:`~repro.core.homomorphism.HomomorphismProblem`
 that re-materialised per-predicate candidate tuples on every call.  This
-package replaces that with a *planned* evaluator over the same
+package replaces that with a *compiled* evaluator over the same
 :class:`~repro.engine.indexes.AtomIndex` posting lists that power the
 semi-naive chase engine:
 
@@ -14,14 +14,14 @@ semi-naive chase engine:
   (a structure chased by :class:`~repro.engine.seminaive.SemiNaiveChaseEngine`
   arrives with its index already warm — no rebuild for the post-chase
   certificate / containment check);
-* :mod:`~repro.query.plan` — greedy most-constrained-first join-order
-  planning with statically precomputed bound positions;
 * :mod:`~repro.query.interning` / :mod:`~repro.query.compile` — the
-  compiled runtime: terms and predicates interned to dense int IDs, query
-  bodies compiled once into register programs (cached per index, validated
-  against the structure's generation counter) and executed by lazy
-  index-probe nested loops, by a build–probe hash join, or by the
-  worst-case-optimal generic join (``strategy=``, auto-selected per shape);
+  compiled runtime and the library's only matcher: terms and predicates
+  interned to dense int IDs, query bodies ordered greedily
+  (most-constrained-first) and compiled once into register programs (cached
+  per index, validated against the structure's generation counter) and
+  executed by lazy index-probe nested loops, by a build–probe hash join, or
+  by the worst-case-optimal generic join (``strategy=``, auto-selected per
+  shape);
 * :mod:`~repro.query.wcoj` — the worst-case-optimal executor: sorted column
   tries cached on the index, deterministic variable-order planning, and
   bisect-based leapfrog intersection — the executor of choice for cyclic
@@ -32,7 +32,7 @@ semi-naive chase engine:
   :mod:`repro.core.homomorphism` — including ``find_isomorphism`` /
   ``are_isomorphic`` / ``is_homomorphism`` (``tests/test_query_eval.py``
   proves the solution sets identical on random CQs — cyclic ones included —
-  random structures and the spider corpus, under both executors; the
+  random structures and the spider corpus, under every executor; the
   reference search remains the authoritative oracle).
 
 Layering: this package sits between :mod:`repro.core` and everything else.
@@ -60,26 +60,21 @@ from .evaluator import (
     evaluate,
     exists_homomorphism,
     exists_match,
-    extend_match,
     find_homomorphism,
     find_isomorphism,
     is_homomorphism,
     iter_homomorphisms,
     iter_matches,
-    iter_plan_matches,
     query_holds,
     query_homomorphisms,
 )
 from .interning import Interner
-from .plan import PlanStep, QueryPlan, plan_atoms
 
 __all__ = [
     "CompiledQuery",
     "EvalContext",
     "Interner",
     "PlanCache",
-    "PlanStep",
-    "QueryPlan",
     "STRATEGIES",
     "Trie",
     "TrieCache",
@@ -96,7 +91,6 @@ __all__ = [
     "execute_wcoj",
     "exists_homomorphism",
     "exists_match",
-    "extend_match",
     "find_homomorphism",
     "find_isomorphism",
     "get_context",
@@ -104,8 +98,6 @@ __all__ = [
     "is_homomorphism",
     "iter_homomorphisms",
     "iter_matches",
-    "iter_plan_matches",
-    "plan_atoms",
     "plan_cache_for",
     "query_holds",
     "query_homomorphisms",

@@ -8,7 +8,7 @@ one per structure (it lives inside the structure's
 :class:`~repro.core.structure.StructureListener` protocol and registered in
 the :class:`~repro.query.context.EvalContext`).
 
-Why ints: the object tuples the PR-2 evaluator matched on pay a full
+Why ints: matching on term-object tuples pays a full
 ``__eq__``/``__hash__`` dispatch per comparison (dataclass ``Variable`` /
 ``Constant`` / ``LabeledNull`` equality walks fields), while the interned
 encoding compares with pointer-fast small-int equality and hashes for free.

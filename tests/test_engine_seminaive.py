@@ -10,7 +10,7 @@ from repro.core.structure import Structure
 from repro.engine import (
     AtomIndex,
     SemiNaiveChaseEngine,
-    delta_frontier_keys,
+    compiled_delta_matches,
     head_satisfied_indexed,
     lazy_strategy,
     make_engine,
@@ -18,7 +18,10 @@ from repro.engine import (
     run_chase,
     semi_oblivious_strategy,
 )
+from repro.chase.trigger import frontier_key
 from repro.engine.strategies import resolve_strategy
+
+from delta_oracle import oracle_delta_matches
 
 
 # ----------------------------------------------------------------------
@@ -70,33 +73,53 @@ def test_index_detach_stops_following():
 # ----------------------------------------------------------------------
 # Delta discovery + indexed head satisfaction
 # ----------------------------------------------------------------------
+def _frontier_keys(tgd, matches):
+    return {frontier_key(tgd, assignment) for assignment in matches}
+
+
+def _rows(matches):
+    return [tuple(sorted(assignment.items(), key=repr)) for assignment in matches]
+
+
 def test_delta_discovery_only_sees_matches_using_the_delta():
     tgd = parse_tgds("R(x,y), R(y,z) -> S(x,z)")[0]
     structure = structure_from_text("R(1,2), R(2,3)")
     index = AtomIndex(structure)
     watermark = index.watermark()
     structure.add_fact("R", "3", "4")
-    # Full enumeration over everything:
-    all_keys = set(delta_frontier_keys(tgd, index, 0, index.watermark()))
-    assert len(all_keys) == 2  # (1,3) and (2,4)
-    # Only matches touching the delta atom R(3,4):
-    delta_keys = set(delta_frontier_keys(tgd, index, watermark, index.watermark()))
-    assert len(delta_keys) == 1
+    stage_start = index.watermark()
+    for delta_lo, expected in ((0, 2), (watermark, 1)):
+        # 0: full enumeration, keys (1,3) and (2,4); watermark: only the
+        # match touching the delta atom R(3,4).
+        keys = _frontier_keys(
+            tgd, compiled_delta_matches(tgd, index, delta_lo, stage_start)
+        )
+        assert len(keys) == expected
+        assert keys == _frontier_keys(
+            tgd, oracle_delta_matches(tgd, index, delta_lo, stage_start)
+        )
 
 
 def test_delta_discovery_produces_each_match_exactly_once():
-    from repro.engine import delta_body_matches
-
     tgd = parse_tgds("R(x,y), R(y,z) -> S(x,z)")[0]
     structure = structure_from_text("R(1,2), R(2,3), R(3,4)")
     index = AtomIndex(structure)
-    # delta = everything (stage 1): the two chain matches, once each, even
-    # though both their body atoms lie in the delta window.
-    matches = [
-        tuple(sorted(assignment.items(), key=repr))
-        for assignment in delta_body_matches(tgd, index, 0, index.watermark())
-    ]
-    assert len(matches) == len(set(matches)) == 2
+    chain_end = index.watermark()
+    # R(3,3) is the image of both body atoms under x = y = z = 3.
+    structure.add_fact("R", "3", "3")
+    stage_start = index.watermark()
+    # (0, chain_end): delta = the whole chain, so both body atoms of the two
+    # chain matches lie in the delta window, yet each is produced once.
+    windows = ((0, chain_end, 2), (0, stage_start, 5), (chain_end, stage_start, 3))
+    for delta_lo, hi, count in windows:
+        expected = _rows(oracle_delta_matches(tgd, index, delta_lo, hi))
+        assert len(expected) == count
+        for strategy in ("nested", "hash", "wcoj", "auto"):
+            rows = _rows(
+                compiled_delta_matches(tgd, index, delta_lo, hi, strategy=strategy)
+            )
+            assert len(rows) == len(set(rows)) == count, strategy
+            assert set(rows) == set(expected), strategy
 
 
 def test_indexed_head_satisfaction_matches_reference_semantics():

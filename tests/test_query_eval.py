@@ -20,12 +20,13 @@ from repro.core.terms import Constant, Variable
 from repro.engine import run_chase
 from repro.chase.tgd import parse_tgds
 from repro.greenred.coloring import dalt_structure
-from repro.query.plan import plan_atoms
 from repro.spiders.algebra import SpiderQuerySpec
 from repro.spiders.anatomy import add_real_spider
 from repro.spiders.ideal import IdealSpider, SpiderUniverse
 from repro.spiders.queries import spider_query_matches, unary_query_body
 from repro.greenred.coloring import Color
+
+from delta_oracle import oracle_delta_matches
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +169,15 @@ def test_plan_covers_every_atom_and_marks_bound_positions():
     )
     context = q.EvalContext()
     index = context.index_for(target)
-    plan = plan_atoms(atoms, index)
-    assert sorted(map(repr, plan.order())) == sorted(map(repr, atoms))
+    compiled = q.compile_query(index, atoms)
+    assert sorted(map(repr, compiled.order())) == sorted(map(repr, atoms))
     bound = set()
-    for step in plan.steps:
-        for position in step.bound_positions:
-            arg = step.atom.args[position]
-            assert arg == _CONSTANT or arg in bound
+    for step in compiled.steps:
+        # A step's join key and constant checks cover exactly the positions
+        # whose value is known before the step runs.
+        checked = {position for position, _ in step.joins + step.consts}
+        for position, arg in enumerate(step.atom.args):
+            assert (position in checked) == (arg == _CONSTANT or arg in bound)
         bound.update(step.atom.args)
 
 
@@ -481,10 +484,10 @@ def test_plan_cache_is_keyed_by_bound_shape_not_values():
 
 
 # ----------------------------------------------------------------------
-# Batch delta discovery: compiled ≡ interpreted
+# Batch delta discovery: compiled ≡ homomorphism oracle
 # ----------------------------------------------------------------------
-def test_compiled_delta_matches_interpreted_delta():
-    from repro.engine.delta import compiled_delta_matches, delta_body_matches
+def test_compiled_delta_matches_homomorphism_oracle():
+    from repro.engine.delta import compiled_delta_matches
     from repro.engine.indexes import AtomIndex
 
     tgds = parse_tgds(
@@ -493,26 +496,23 @@ def test_compiled_delta_matches_interpreted_delta():
         "R(x,x) -> T(x)",
     )
     structure = Structure(
-        [Atom("R", (str(i), str(i + 1))) for i in range(6)] + [Atom("R", ("3", "3"))]
+        [Atom("R", (str(i), str(i + 1))) for i in range(6)]
+        + [Atom("R", ("3", "3")), Atom("S", ("0", "2")), Atom("T", ("1",))]
     )
     index = AtomIndex(structure)
     delta_lo = index.watermark()
+    # Every body predicate has atoms on both sides of delta_lo.
     structure.add_atoms(
-        [Atom("S", (str(i), str(i + 2))) for i in range(4)] + [Atom("T", ("3",))]
+        [Atom("S", (str(i), str(i + 2))) for i in range(1, 4)]
+        + [Atom("T", ("3",)), Atom("R", ("6", "7")), Atom("R", ("7", "7"))]
     )
     stage_start = index.watermark()
-    for tgd in tgds:
-        interpreted = canonical(
-            delta_body_matches(tgd, index, delta_lo, stage_start)
-        )
-        compiled = canonical(
-            compiled_delta_matches(tgd, index, delta_lo, stage_start)
-        )
-        assert compiled == interpreted, tgd.name
-        # The full-prefix (naive) degeneration agrees too.
-        assert canonical(
-            compiled_delta_matches(tgd, index, 0, stage_start)
-        ) == canonical(delta_body_matches(tgd, index, 0, stage_start)), tgd.name
+    # Both the stage delta and the full-prefix (naive) degeneration.
+    for lo in (delta_lo, 0):
+        for tgd in tgds:
+            expected = canonical(oracle_delta_matches(tgd, index, lo, stage_start))
+            compiled = canonical(compiled_delta_matches(tgd, index, lo, stage_start))
+            assert compiled == expected, (tgd.name, lo)
 
 
 # ----------------------------------------------------------------------
