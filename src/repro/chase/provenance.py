@@ -10,15 +10,18 @@ notions first-class values rather than pencil-and-paper bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.atoms import Atom
 from .trigger import Trigger
 
 
-@dataclass(frozen=True)
-class ChaseStep:
-    """A single trigger firing."""
+class ChaseStep(NamedTuple):
+    """A single trigger firing.
+
+    A named tuple rather than a frozen dataclass: the engines build one per
+    fired trigger, and a tuple is about half the construction cost.
+    """
 
     stage: int
     trigger: Trigger

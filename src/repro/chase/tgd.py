@@ -44,6 +44,19 @@ class TGD:
             raise TGDError("a TGD needs a non-empty body")
         if not self.head:
             raise TGDError("a TGD needs a non-empty head")
+        # Every trigger keys, fires and (when full) head-checks by these two
+        # orders, so they are sorted once here rather than per trigger.  Like
+        # ``Atom._hash`` they are plain attributes, not dataclass fields:
+        # equality and hashing see only name, body and head, while pickling
+        # (the parallel pool ships TGDs to its workers) keeps them.
+        body_variables = self.body_variables()
+        head_variables = self.head_variables()
+        object.__setattr__(
+            self, "_frontier_order", _by_name(body_variables & head_variables)
+        )
+        object.__setattr__(
+            self, "_existential_order", _by_name(head_variables - body_variables)
+        )
 
     # ------------------------------------------------------------------
     # Variable classification
@@ -62,13 +75,23 @@ class TGD:
             result.update(atom.variables())
         return frozenset(result)
 
+    @property
+    def frontier_order(self) -> Tuple[Variable, ...]:
+        """The frontier ȳ sorted by variable name (the trigger key order)."""
+        return self._frontier_order  # type: ignore[attr-defined]
+
+    @property
+    def existential_order(self) -> Tuple[Variable, ...]:
+        """The existential variables z̄ sorted by name (the null order)."""
+        return self._existential_order  # type: ignore[attr-defined]
+
     def frontier(self) -> FrozenSet[Variable]:
         """The frontier ȳ: variables shared between body and head."""
-        return self.body_variables() & self.head_variables()
+        return frozenset(self.frontier_order)
 
     def existential_variables(self) -> FrozenSet[Variable]:
         """The existential head variables z̄."""
-        return self.head_variables() - self.body_variables()
+        return frozenset(self.existential_order)
 
     def constants(self) -> FrozenSet[Constant]:
         """All constants mentioned by the dependency."""
@@ -83,20 +106,18 @@ class TGD:
 
     def is_full(self) -> bool:
         """True when the TGD has no existential variables (a "full" TGD)."""
-        return not self.existential_variables()
+        return not self.existential_order
 
     # ------------------------------------------------------------------
     # Views of the two sides as conjunctive queries
     # ------------------------------------------------------------------
     def body_query(self) -> ConjunctiveQuery:
         """The body as a CQ with the frontier as free variables."""
-        frontier = sorted(self.frontier(), key=lambda v: v.name)
-        return ConjunctiveQuery(f"{self.name}::body", frontier, self.body)
+        return ConjunctiveQuery(f"{self.name}::body", self.frontier_order, self.body)
 
     def head_query(self) -> ConjunctiveQuery:
         """The head as a CQ with the frontier as free variables."""
-        frontier = sorted(self.frontier(), key=lambda v: v.name)
-        return ConjunctiveQuery(f"{self.name}::head", frontier, self.head)
+        return ConjunctiveQuery(f"{self.name}::head", self.frontier_order, self.head)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -114,6 +135,10 @@ class TGD:
         body = [parse_atom(p, as_query_atom=True) for p in _split_atoms(body_text)]
         head = [parse_atom(p, as_query_atom=True) for p in _split_atoms(head_text)]
         return TGD(name or "tgd", body, head)
+
+
+def _by_name(variables: FrozenSet[Variable]) -> Tuple[Variable, ...]:
+    return tuple(sorted(variables, key=lambda v: v.name))
 
 
 def parse_tgds(*texts: str, prefix: str = "tgd") -> List[TGD]:

@@ -49,8 +49,7 @@ class Trigger:
 
 
 def _frontier_key(tgd: TGD, assignment: Mapping[object, object]) -> Tuple[Tuple[object, object], ...]:
-    frontier = sorted(tgd.frontier(), key=lambda v: v.name)
-    return tuple((var, assignment[var]) for var in frontier)
+    return tuple((var, assignment[var]) for var in tgd.frontier_order)
 
 
 def frontier_key(tgd: TGD, assignment: Mapping[object, object]) -> Tuple[Tuple[object, object], ...]:
@@ -157,7 +156,7 @@ def apply_trigger(
     tgd = trigger.tgd
     assignment: Dict[object, object] = dict(trigger.frontier_image)
     fresh: List[Tuple[object, LabeledNull]] = []
-    for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
+    for variable in tgd.existential_order:
         null = null_factory.fresh(hint=variable.name)
         fresh.append((variable, null))
         assignment[variable] = null

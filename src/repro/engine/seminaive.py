@@ -383,7 +383,6 @@ class SemiNaiveChaseEngine:
         clock reads only happen when a :class:`StageStats` is being filled.
         """
         strategy = self.strategy
-        fired_any = False
         timed = stats is not None
         discovery_seconds = 0.0
         dedup_seconds = 0.0
@@ -467,27 +466,23 @@ class SemiNaiveChaseEngine:
             if tracer is not None
             else NULL_SPAN
         )
+        should_fire = strategy.should_fire
+        record = provenance.record
         with fire_span:
             for tgd, candidates in zip(self.tgds, stage_candidates):
                 for _, frontier, dedup in candidates:
-                    if not strategy.should_fire(tgd, dedup, frontier, index):
+                    if not should_fire(tgd, dedup, frontier, index):
                         continue
                     trigger = Trigger(tgd, frontier)
                     outcome = apply_trigger(trigger, current, null_factory)
-                    if not outcome.new_atoms:
+                    new_atoms = outcome.new_atoms
+                    if not new_atoms:
                         continue
-                    fired_any = True
+                    new_elements = outcome.new_elements
                     fired_count += 1
-                    atoms_count += len(outcome.new_atoms)
-                    nulls_count += len(outcome.new_elements)
-                    provenance.record(
-                        ChaseStep(
-                            stage=stage,
-                            trigger=trigger,
-                            new_atoms=outcome.new_atoms,
-                            new_elements=outcome.new_elements,
-                        )
-                    )
+                    atoms_count += len(new_atoms)
+                    nulls_count += len(new_elements)
+                    record(ChaseStep(stage, trigger, new_atoms, new_elements))
             fire_span.note(fired=fired_count, new_atoms=atoms_count)
         if timed:
             stats.candidates = candidates_total
@@ -507,4 +502,4 @@ class SemiNaiveChaseEngine:
             new_atoms=atoms_count,
             nulls_created=nulls_count,
         )
-        return fired_any
+        return fired_count > 0

@@ -1,10 +1,12 @@
 """Pluggable firing policies for the semi-naive chase engine.
 
 The paper's chase is *lazy* (standard/restricted): a trigger fires only when
-its head is not yet satisfied at the frontier image.  The engine also offers
-the two classic eager disciplines from the chase literature, which are
-useful for termination experiments and for stress-testing the delta
-machinery (they fire strictly more triggers):
+its head is not yet satisfied at the frontier image.  For a full TGD (no
+existential variables) that head is ground, and the check is membership of
+its atoms in the structure; an existential head is checked by the compiled
+query evaluator.  The engine also offers the two classic eager disciplines
+from the chase literature, which are useful for termination experiments and
+for stress-testing the delta machinery (they fire strictly more triggers):
 
 * **oblivious** — every body match fires exactly once, regardless of head
   satisfaction (one firing per distinct full body homomorphism);
@@ -71,7 +73,17 @@ class FiringStrategy:
     def should_fire(
         self, tgd: TGD, dedup: object, frontier: FrontierKey, index: AtomIndex
     ) -> bool:
-        """Decide whether the trigger with frontier *frontier* fires now."""
+        """Decide whether the trigger with frontier *frontier* fires now.
+
+        Under ``check_head`` this is the paper's condition (­),
+        ``D ⊭ ∃z̄ Ψ(z̄, b̄)``, against the growing structure that *index*
+        follows.  A full TGD (empty z̄) has a ground head at *frontier*, so
+        it fires iff one of those ground atoms is missing from the
+        structure: a set lookup per head atom, no query.  A TGD with
+        existential variables runs the compiled query behind
+        :func:`~repro.engine.delta.head_satisfied_indexed`, as does any
+        check against a detached index.
+        """
         if self.once_per_key:
             # Keyed by the TGD itself, not its name: distinct rules that
             # happen to share a name must not suppress each other.
@@ -80,9 +92,13 @@ class FiringStrategy:
                 return False
             self._fired.add(mark)
         if self.check_head:
-            # ∃z̄ Ψ(z̄, b̄) against the growing structure — evaluated by the
-            # planned query evaluator behind head_satisfied_indexed.
-            return not head_satisfied_indexed(tgd, index, dict(frontier))
+            binding = dict(frontier)
+            structure = index.structure
+            if structure is not None and tgd.is_full():
+                return any(
+                    atom.substitute(binding) not in structure for atom in tgd.head
+                )
+            return not head_satisfied_indexed(tgd, index, binding)
         return True
 
     # ------------------------------------------------------------------

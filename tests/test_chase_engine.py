@@ -1,5 +1,8 @@
 """Unit tests for TGDs, triggers and the lazy chase."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.chase import (
@@ -27,6 +30,58 @@ def test_tgd_parsing_and_variable_classification():
     assert tgd.frontier() == {Variable("y")}
     assert tgd.existential_variables() == {Variable("w")}
     assert not tgd.is_full()
+
+
+#: Full and existential rules, repeated and rigid head terms, variables
+#: whose names sort differently from their order of appearance.
+_MIXED_RULES = (
+    "R(x,y), S(y,z) -> T(y,w)",
+    "E(x,y) -> S(x,y)",
+    "S(x,y), E(y,z) -> S(x,z)",
+    "R(b,a) -> T(a,a), U(b,#c)",
+    "R(x,y) -> T(y,w), T(w,v), U(x,#c)",
+    "P(z), P(a), Q(y) -> Q(z), Q(a)",
+    "R(x,x) -> S(x,u), S(u,x)",
+    "P(x) -> Q(#c)",
+)
+
+
+def _variables(atoms):
+    return {var for atom in atoms for var in atom.variables()}
+
+
+def test_tgd_variable_orders_match_the_set_definitions():
+    for text in _MIXED_RULES:
+        tgd = TGD.parse(text, "t")
+        body, head = _variables(tgd.body), _variables(tgd.head)
+        assert tgd.frontier() == body & head, text
+        assert tgd.existential_variables() == head - body, text
+        assert tgd.is_full() == (not head - body), text
+        by_name = lambda variables: tuple(sorted(variables, key=lambda v: v.name))
+        assert tgd.frontier_order == by_name(body & head), text
+        assert tgd.existential_order == by_name(head - body), text
+        assert tgd.body_query().free_variables == tgd.frontier_order, text
+        assert tgd.head_query().free_variables == tgd.frontier_order, text
+
+
+def test_tgd_equality_and_hash_ignore_the_cached_orders():
+    assert [field.name for field in dataclasses.fields(TGD)] == ["name", "body", "head"]
+    tgd = TGD.parse(_MIXED_RULES[4], "t")
+    twin = TGD.parse(_MIXED_RULES[4], "t")
+    object.__setattr__(twin, "_frontier_order", ())
+    object.__setattr__(twin, "_existential_order", ())
+    assert tgd == twin
+    assert hash(tgd) == hash(twin)
+    assert len({tgd, twin}) == 1
+
+
+def test_tgd_pickle_round_trip_keeps_the_cached_orders():
+    for text in _MIXED_RULES:
+        tgd = TGD.parse(text, "t")
+        clone = pickle.loads(pickle.dumps(tgd))
+        assert clone == tgd and hash(clone) == hash(tgd)
+        assert vars(clone)["_frontier_order"] == tgd.frontier_order
+        assert vars(clone)["_existential_order"] == tgd.existential_order
 
 
 def test_tgd_requires_body_and_head():

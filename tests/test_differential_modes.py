@@ -39,7 +39,9 @@ MAX_ATOMS = 120
 #: under it, the others are stopped by it mid-run.
 STOP_ATOMS = 60
 
-_SEEDS = list(range(10))
+#: Seeds 0–9 plus 32, the first later seed with a full rule whose two-atom
+#: head fires; see test_harness_covers_both_head_check_paths.
+_SEEDS = list(range(10)) + [32]
 _STRATEGIES = ("lazy", "oblivious", "semi-oblivious")
 
 
@@ -177,3 +179,19 @@ def test_harness_actually_exercises_firings():
         cascaded += result.stages_run >= 2
     assert fired >= len(_SEEDS) // 2
     assert cascaded >= 2
+
+
+def test_harness_covers_both_head_check_paths():
+    # The lazy strategy checks a full TGD's head by atom membership and an
+    # existential head by a compiled query.  Both paths must stay under the
+    # bit-identity harness, with two-atom heads, and fire in some case.
+    fired = {True: 0, False: 0}
+    for seed in _SEEDS:
+        rules, instance = random_case(seed)
+        result = run_chase(rules, instance, MAX_STAGES, MAX_ATOMS)
+        for step in result.provenance:
+            tgd = step.trigger.tgd
+            if len(tgd.head) == 2:
+                fired[tgd.is_full()] += 1
+    assert fired[True] >= 1
+    assert fired[False] >= 1
